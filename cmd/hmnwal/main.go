@@ -13,17 +13,18 @@
 //
 // dump is for eyeballing what a daemon logged ("which admissions landed
 // before the crash?"); verify answers "will this directory recover?"
-// before restarting the daemon on it.
+// before restarting the daemon on it. verify runs the daemon's own
+// recovery function, wal.Rebuild — the one hmnd's Recover and every
+// federation shard run — over the read-only scan, so a directory it
+// accepts rebuilds to exactly the sessions the daemon would serve.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 
-	"repro/internal/core"
-	"repro/internal/mapping"
 	"repro/internal/wal"
 )
 
@@ -38,7 +39,7 @@ func main() {
 	case "dump":
 		err = dump(dir)
 	case "verify":
-		err = verify(dir)
+		_, err = verify(os.Stdout, dir)
 	default:
 		usage()
 		os.Exit(2)
@@ -82,77 +83,30 @@ func dump(dir string) error {
 	return nil
 }
 
-// verify replays the directory the way the daemon's Recover does —
-// snapshot sessions first, then the log suffix with the per-session
-// boundary skip — and cross-checks each surviving session's incremental
-// objective against a two-pass recompute.
-func verify(dir string) error {
+// verify rebuilds the directory with wal.Rebuild and cross-checks each
+// surviving session's incremental objective against a two-pass
+// recompute (wal.VerifyObjective), reporting to out.
+func verify(out io.Writer, dir string) (*wal.Rebuilt, error) {
 	rec, err := wal.Scan(dir, wal.Hooks{Logf: warnf})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sessions := make(map[string]*core.Session)
-	boundary := make(map[string]uint64)
-	if snap := rec.Snapshot; snap != nil {
-		for _, sn := range snap.Sessions {
-			cs, _, err := wal.RestoreSnap(sn)
-			if err != nil {
-				return err
-			}
-			sessions[sn.SID] = cs
-			boundary[sn.SID] = sn.OpCount
+	rb, err := wal.Rebuild(rec)
+	if err != nil {
+		return nil, err
+	}
+	for _, rs := range rb.Sessions {
+		if err := wal.VerifyObjective(rs.Core); err != nil {
+			return nil, fmt.Errorf("session %s: %w", rs.SID, err)
 		}
+		fmt.Fprintf(out, "session %s: ok (active=%d objective=%.6g)\n", rs.SID, rs.Core.Active(), rs.Core.ObjectiveStdDev())
 	}
-	replayed := 0
-	for i := range rec.Records {
-		r := &rec.Records[i]
-		switch r.Kind {
-		case wal.KindOpen:
-			if _, ok := sessions[r.SID]; ok {
-				continue // session predates the snapshot covering it
-			}
-			cs, _, err := wal.OpenSession(r)
-			if err != nil {
-				return err
-			}
-			sessions[r.SID] = cs
-		case wal.KindClose:
-			delete(sessions, r.SID)
-			delete(boundary, r.SID)
-		default:
-			cs, ok := sessions[r.SID]
-			if !ok {
-				return fmt.Errorf("record %d names unknown session %s", i, r.SID)
-			}
-			if r.Index <= boundary[r.SID] {
-				continue // already folded into the snapshot
-			}
-			if err := wal.ReplayRecord(cs, r); err != nil {
-				return err
-			}
-			replayed++
-		}
-	}
-	sids := make([]string, 0, len(sessions))
-	for sid := range sessions {
-		sids = append(sids, sid)
-	}
-	sort.Strings(sids)
-	for _, sid := range sids {
-		cs := sessions[sid]
-		inc := cs.ObjectiveStdDev()
-		re := mapping.Objective(cs.ResidualProc())
-		if diff := inc - re; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("session %s: incremental objective %.17g diverges from recomputed %.17g", sid, inc, re)
-		}
-		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", sid, cs.Active(), inc)
-	}
-	fmt.Printf("verified: %d session(s), %d record(s) replayed", len(sessions), replayed)
+	fmt.Fprintf(out, "verified: %d session(s), %d record(s) replayed", len(rb.Sessions), rb.Replayed)
 	if rec.TruncatedBytes > 0 {
-		fmt.Printf(", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
+		fmt.Fprintf(out, ", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
 	}
-	fmt.Println()
-	return nil
+	fmt.Fprintln(out)
+	return rb, nil
 }
 
 func warnf(format string, args ...interface{}) {

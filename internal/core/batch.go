@@ -90,7 +90,7 @@ func (s *Session) MapBatchTagged(envs []*virtual.Env, tags []string) (maps []*ma
 			defer wg.Done()
 			m := mapping.New(s.c, envs[i])
 			ms := getMapScratch()
-			err := s.mapper.mapOnLedger(leds[i], envs[i], m, s.ar, ms)
+			_, err := runStages(leds[i], envs[i], m, s.mapper, s.ar, ms)
 			putMapScratch(ms)
 			if err != nil {
 				attemptErr[i] = err
@@ -133,7 +133,7 @@ func (s *Session) MapBatchTagged(envs []*virtual.Env, tags []string) (maps []*ma
 		attempt := s.snapshotLocked()
 		m := mapping.New(s.c, envs[i])
 		ms := getMapScratch()
-		err := s.mapper.mapOnLedger(attempt, envs[i], m, s.ar, ms)
+		_, err := runStages(attempt, envs[i], m, s.mapper, s.ar, ms)
 		putMapScratch(ms)
 		s.freeSnapshotLocked(attempt)
 		if err != nil {

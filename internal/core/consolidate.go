@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cluster"
@@ -39,39 +38,24 @@ func (x *Consolidator) Name() string { return "HMN-C" }
 // as few hosts as possible, and routes the virtual links with the
 // Networking stage.
 func (x *Consolidator) Map(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, error) {
-	led, err := cluster.NewLedger(c, x.Overhead)
-	if err != nil {
-		return nil, fmt.Errorf("HMN-C: %w", err)
-	}
-	m := mapping.New(c, v)
-	hi := newHostIndex(led, true)
-	defer led.SetProcHook(nil)
-	if err := hostingIndexed(led, v, m.GuestHost, hi); err != nil {
-		return nil, fmt.Errorf("HMN-C hosting stage: %w", err)
-	}
-	consolidateIndexed(led, v, m.GuestHost, x.MaxPasses, hi)
-	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, nil, x.RouteWorkers, nil); err != nil {
-		return nil, fmt.Errorf("HMN-C networking stage: %w", err)
-	}
-	return m, nil
+	m, _, err := mapOnce(x, x.Overhead, c, v)
+	return m, err
 }
 
-// consolidate empties hosts one at a time: it repeatedly selects the
-// non-empty host with the fewest guests and tries to re-place every one
-// of its guests onto other already-used hosts, best-fit (tightest
-// remaining memory first) to preserve packing headroom. A host is only
-// emptied atomically — if any of its guests fits nowhere else, the host
-// keeps all of them. The sweep repeats until no host can be emptied (or
-// maxPasses is hit). Returns the number of hosts emptied.
-func consolidate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, maxPasses int) int {
-	return consolidateIndexed(led, v, assign, maxPasses, nil)
-}
-
-// consolidateIndexed is consolidate reusing the Hosting stage's live
-// host index, when one is attached: the ledger hook keeps it consistent
-// through every repack move, and receiver scans walk its deterministic
-// slice instead of ranging a map. hi may be nil (standalone callers).
-func consolidateIndexed(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, maxPasses int, hi *hostIndex) int {
+// consolidate is HMN-C's stage 2. It empties hosts one at a time: it
+// repeatedly selects the non-empty host with the fewest guests and tries
+// to re-place every one of its guests onto other already-used hosts,
+// best-fit (tightest remaining memory first) to preserve packing
+// headroom. A host is only emptied atomically — if any of its guests
+// fits nowhere else, the host keeps all of them. The sweep repeats until
+// no host can be emptied (or maxPasses is hit). Returns the number of
+// hosts emptied.
+//
+// With the Hosting stage's live host index attached, the ledger hook
+// keeps it consistent through every repack move and receiver scans walk
+// its deterministic slice instead of ranging a map. hi may be nil, which
+// scans the hosts' roster map instead.
+func consolidate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, maxPasses int, hi *hostIndex) int {
 	c := led.Cluster()
 	onHost := make(map[graph.NodeID][]virtual.GuestID)
 	for g, node := range assign {

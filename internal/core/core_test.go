@@ -79,7 +79,7 @@ func TestHostingCoLocatesHighBandwidthPairs(t *testing.T) {
 	for i := range assign {
 		assign[i] = mapping.Unassigned
 	}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[0] != assign[1] {
@@ -98,7 +98,7 @@ func TestHostingSplitsWhenPairDoesNotFit(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[0] == assign[1] {
@@ -122,7 +122,7 @@ func TestHostingPullsPartnerToAssignedHost(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned, mapping.Unassigned}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[0] != assign[1] || assign[1] != assign[2] {
@@ -140,7 +140,7 @@ func TestHostingPlacesIsolatedGuests(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned, mapping.Unassigned}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[2] == mapping.Unassigned {
@@ -157,7 +157,7 @@ func TestHostingFailsWhenNothingFits(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned}
-	err := hosting(led, v, assign, true)
+	err := HostingStage(led, v, assign)
 	if !errors.Is(err, ErrNoHostFits) {
 		t.Fatalf("want ErrNoHostFits, got %v", err)
 	}
@@ -175,7 +175,7 @@ func TestHostingRespectsCapacities(t *testing.T) {
 	for i := range assign {
 		assign[i] = mapping.Unassigned
 	}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	m := mapping.New(c, v)
@@ -280,7 +280,7 @@ func TestMigrationSingleHostNoop(t *testing.T) {
 	if err := led.ReserveGuest(assign[0], 100, 256, 100); err != nil {
 		t.Fatal(err)
 	}
-	if moves := migrate(led, v, assign, LoadResidualMIPS, 0); moves != 0 {
+	if moves := migrate(led, v, assign, LoadResidualMIPS, 0, ScopeMostLoaded, nil, false, nil, nil); moves != 0 {
 		t.Fatalf("single host cannot migrate, got %d moves", moves)
 	}
 }

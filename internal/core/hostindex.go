@@ -42,16 +42,12 @@ type hostIndex struct {
 }
 
 // newHostIndex builds the order from the ledger's current residuals and,
-// when track is true, attaches the index to the ledger's proc hook.
-func newHostIndex(led *cluster.Ledger, track bool) *hostIndex {
-	return newHostIndexIn(led, track, nil)
-}
-
-// newHostIndexIn is newHostIndex drawing the order/pos/nodeOf arrays
-// from ms so repeated admissions reuse them. The hostIndex struct
-// itself is stack-like (one per attempt, small) and still allocated;
-// ms may be nil, which allocates the arrays per call as before.
-func newHostIndexIn(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
+// when track is true, attaches the index to the ledger's proc hook. The
+// order/pos/nodeOf arrays come from ms so repeated admissions reuse
+// them; ms may be nil, which allocates the arrays per call. The
+// hostIndex struct itself is small, one per attempt, and still
+// allocated.
+func newHostIndex(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
 	c := led.Cluster()
 	var hi *hostIndex
 	if ms != nil {

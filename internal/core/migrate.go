@@ -173,7 +173,7 @@ func (s *Session) migrateAttempt(norm []GuestMove) (res *MigrateResult, retry bo
 		}
 		if len(es.links) > 0 {
 			ms := getMapScratch()
-			rerr := s.mapper.rerouteOnLedger(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms)
+			rerr := reroute(s.mapper, snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms)
 			putMapScratch(ms)
 			if rerr != nil {
 				freeSnap()

@@ -68,13 +68,10 @@ type moveStep struct {
 //
 // The function mutates assign and the ledger in place. It cannot fail:
 // a migration either strictly improves the objective or is not performed.
-func migrate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int) int {
-	return migrateScoped(led, v, assign, metric, maxMoves, ScopeMostLoaded, nil, false, nil, nil)
-}
-
-// migrateScoped is migrate with a selectable donor scope (see
-// MigrationScope), an optional live host index from the Hosting stage
-// (hi may be nil), and an exact-objective debug mode.
+// scope selects the donor set (see MigrationScope); hi is the live host
+// index from the Hosting stage (nil scans the hosts instead); exact is
+// the exact-objective debug mode; trace, when non-nil, records every
+// accepted move; ms supplies the working sets (nil allocates per call).
 //
 // The Eq. (10) objective is evaluated from the ledger's running Σx/Σx²:
 // each what-if is a single DeltaStdDev call — O(1), no ledger mutation —
@@ -86,7 +83,7 @@ func migrate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric 
 // Under the paper's LoadResidualMIPS metric, "ascending load" is exactly
 // the host index's (residual desc, node asc) order, so a live tracking
 // index replaces the per-attempt destination sort outright.
-func migrateScoped(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int, scope MigrationScope, hi *hostIndex, exact bool, trace *[]moveStep, ms *mapScratch) int {
+func migrate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int, scope MigrationScope, hi *hostIndex, exact bool, trace *[]moveStep, ms *mapScratch) int {
 	c := led.Cluster()
 	nh := c.NumHosts()
 	if nh < 2 {

@@ -81,12 +81,12 @@ func TestMigrateSnapshotSurvivesMidScanReserveFailure(t *testing.T) {
 	// gMem 600 with only 214 MB free on h3 keeps h3 out of every scan, so
 	// the outcome is a single pinned move.
 	led, v, assign, h := migrationFixture(t, 600, 800)
-	hi := newHostIndex(led, true)
+	hi := newHostIndex(led, true, nil)
 	defer led.SetProcHook(nil)
 	led.SetProcHook(sabotageHook(t, led, hi.fix, h[1], h[2]))
 
 	var trace []moveStep
-	moves := migrateScoped(led, v, assign, LoadResidualMIPS, 0, ScopeMostLoaded, hi, false, &trace, nil)
+	moves := migrate(led, v, assign, LoadResidualMIPS, 0, ScopeMostLoaded, hi, false, &trace, nil)
 
 	// Scan order at the start of the attempt: h1 (900), h2 (800), h3,
 	// h0. h1 improves, its reserve fails under the quarantine; the next
@@ -122,17 +122,17 @@ func TestMigrateLiveIndexMatchesUnindexedUnderMidScanChurn(t *testing.T) {
 	// gMem 100 fits everywhere: after the injected failure the move
 	// cascades (h0→h2, then h2→h3), exercising the scan across rounds.
 	ledA, v, assignA, h := migrationFixture(t, 100, 10)
-	hiA := newHostIndex(ledA, true)
+	hiA := newHostIndex(ledA, true, nil)
 	defer ledA.SetProcHook(nil)
 	ledA.SetProcHook(sabotageHook(t, ledA, hiA.fix, h[1], h[2]))
 	var traceA []moveStep
-	movesA := migrateScoped(ledA, v, assignA, LoadResidualMIPS, 0, ScopeMostLoaded, hiA, false, &traceA, nil)
+	movesA := migrate(ledA, v, assignA, LoadResidualMIPS, 0, ScopeMostLoaded, hiA, false, &traceA, nil)
 
 	ledB, _, assignB, _ := migrationFixture(t, 100, 10)
 	ledB.SetProcHook(sabotageHook(t, ledB, nil, h[1], h[2]))
 	defer ledB.SetProcHook(nil)
 	var traceB []moveStep
-	movesB := migrateScoped(ledB, v, assignB, LoadResidualMIPS, 0, ScopeMostLoaded, nil, false, &traceB, nil)
+	movesB := migrate(ledB, v, assignB, LoadResidualMIPS, 0, ScopeMostLoaded, nil, false, &traceB, nil)
 
 	if movesA != movesB || !slices.Equal(traceA, traceB) {
 		t.Fatalf("live index diverged from per-attempt sort:\n indexed   %d moves %v\n unindexed %d moves %v",
@@ -215,8 +215,8 @@ func TestQuickMigrateExactMatchesIncrementalSequences(t *testing.T) {
 		}
 
 		var incTrace, exactTrace []moveStep
-		incMoves := migrateScoped(ledA, v, assignA, LoadResidualMIPS, 0, scope, nil, false, &incTrace, nil)
-		exactMoves := migrateScoped(ledB, v, assignB, LoadResidualMIPS, 0, scope, nil, true, &exactTrace, nil)
+		incMoves := migrate(ledA, v, assignA, LoadResidualMIPS, 0, scope, nil, false, &incTrace, nil)
+		exactMoves := migrate(ledB, v, assignB, LoadResidualMIPS, 0, scope, nil, true, &exactTrace, nil)
 		if incMoves != exactMoves || !slices.Equal(incTrace, exactTrace) {
 			t.Logf("seed %d: incremental %d moves %v, exact %d moves %v",
 				seed, incMoves, incTrace, exactMoves, exactTrace)
@@ -286,10 +286,10 @@ func TestQuickConsolidateIndexedMatchesNil(t *testing.T) {
 		ledB := ledA.Clone()
 		assignB := slices.Clone(assignA)
 
-		hi := newHostIndex(ledA, true)
-		emptiedA := consolidateIndexed(ledA, v, assignA, 0, hi)
+		hi := newHostIndex(ledA, true, nil)
+		emptiedA := consolidate(ledA, v, assignA, 0, hi)
 		ledA.SetProcHook(nil)
-		emptiedB := consolidateIndexed(ledB, v, assignB, 0, nil)
+		emptiedB := consolidate(ledB, v, assignB, 0, nil)
 
 		if emptiedA != emptiedB || !slices.Equal(assignA, assignB) {
 			t.Logf("seed %d: indexed emptied %d -> %v, nil emptied %d -> %v",

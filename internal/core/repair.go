@@ -169,7 +169,7 @@ func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
 	attempt := s.snapshotLocked()
 	nm := mapping.New(s.led.Cluster(), old.Env)
 	ms := getMapScratch()
-	err := s.mapper.mapOnLedger(attempt, old.Env, nm, s.ar, ms)
+	_, err := runStages(attempt, old.Env, nm, s.mapper, s.ar, ms)
 	putMapScratch(ms)
 	s.freeSnapshotLocked(attempt)
 	if err != nil {
@@ -220,7 +220,7 @@ func (s *Session) tryReroute(old *mapping.Mapping, tag string) (*mapping.Mapping
 	}
 	if len(broken) > 0 {
 		ms := getMapScratch()
-		err := s.mapper.rerouteOnLedger(attempt, env, nm.GuestHost, nm.LinkPath, broken, s.ar, ms)
+		err := reroute(s.mapper, attempt, env, nm.GuestHost, nm.LinkPath, broken, s.ar, ms)
 		putMapScratch(ms)
 		if err != nil {
 			return nil, false

@@ -97,62 +97,33 @@ type activeEntry struct {
 // serialized path is cheaper than another wasted pipeline run.
 const defaultOptimisticRetries = 3
 
-// sessionMapper is the subset of mappers a session can drive
-// incrementally: they must accept a pre-primed ledger. HMN and its
-// variants qualify; the retrying baselines do not (they rebuild ledgers
+// sessionMapper is a mapper the stage pipeline (runStages) can drive
+// against a pre-primed ledger, one-shot or inside a session: HMN and
+// HMN-C. The retrying baselines do not qualify (they rebuild ledgers
 // internally).
 type sessionMapper interface {
-	// arc is the session's Dijkstra-table cache; one-shot callers pass
-	// nil and recompute per mapping. ms carries the attempt's reusable
-	// buffers (may be nil, which allocates per call).
-	mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error
-	// rerouteOnLedger re-runs only the Networking stage for the named
-	// virtual links, keeping guest placements fixed — the repair
-	// engine's cheap path after a link failure.
-	rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error
+	Mapper
+	// stages returns the options the pipeline runs with: HMN's, and for
+	// HMN-C the consolidator whose stage replaces Migration.
+	stages() (HMN, *Consolidator)
 }
 
-// mapOnLedger runs the three HMN stages against an existing ledger. One
-// host index serves Hosting and Migration; its ledger hook is detached
-// before returning so the ledger outlives the attempt hook-free.
-func (h *HMN) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error {
-	hi := newHostIndexIn(led, !h.DisableHostResort, ms)
-	defer led.SetProcHook(nil)
-	if err := hostingIndexedIn(led, v, m.GuestHost, hi, ms); err != nil {
-		return fmt.Errorf("HMN hosting stage: %w", err)
-	}
-	if !h.DisableMigration {
-		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, h.ExactObjective, nil, ms)
-	}
-	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, arc, h.RouteWorkers, ms); err != nil {
-		return fmt.Errorf("HMN networking stage: %w", err)
-	}
-	return nil
+// stages implements sessionMapper.
+func (h *HMN) stages() (HMN, *Consolidator) { return *h, nil }
+
+// stages implements sessionMapper: HMN's paper-faithful Hosting and
+// Networking under HMN-C's search options, with consolidation as
+// stage 2.
+func (x *Consolidator) stages() (HMN, *Consolidator) {
+	return HMN{AStar: x.AStar, RouteWorkers: x.RouteWorkers}, x
 }
 
-// rerouteOnLedger re-routes a link subset with HMN's Networking options.
-func (h *HMN) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
+// reroute re-runs only the Networking stage, with mapper's options, for
+// the named virtual links, keeping guest placements fixed — the cheap
+// path of the repair engine and the migrate funnel.
+func reroute(mapper sessionMapper, led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
+	h, _ := mapper.stages()
 	return routeLinks(led, v, assign, paths, linkIDs, h.NetworkOrder, h.AStar, h.Rand, arc, h.RouteWorkers, ms)
-}
-
-// mapOnLedger runs Hosting, consolidation and Networking against an
-// existing ledger.
-func (x *Consolidator) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error {
-	hi := newHostIndexIn(led, true, ms)
-	defer led.SetProcHook(nil)
-	if err := hostingIndexedIn(led, v, m.GuestHost, hi, ms); err != nil {
-		return fmt.Errorf("HMN-C hosting stage: %w", err)
-	}
-	consolidateIndexed(led, v, m.GuestHost, x.MaxPasses, hi)
-	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, arc, x.RouteWorkers, ms); err != nil {
-		return fmt.Errorf("HMN-C networking stage: %w", err)
-	}
-	return nil
-}
-
-// rerouteOnLedger re-routes a link subset with HMN-C's Networking options.
-func (x *Consolidator) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
-	return routeLinks(led, v, assign, paths, linkIDs, OrderDescendingBW, x.AStar, nil, arc, x.RouteWorkers, ms)
 }
 
 // NewSession opens a session on c with the VMM overhead deducted once.
@@ -333,7 +304,7 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 		// search — runs on the private snapshot with no lock held.
 		m := mapping.New(s.c, v)
 		ms := getMapScratch()
-		mapErr := s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
+		_, mapErr := runStages(snap, v, m, s.mapper, s.ar, ms)
 		putMapScratch(ms)
 
 		start = time.Now() //hmn:wallclock
@@ -391,7 +362,7 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 	attempt := s.snapshotLocked()
 	m := mapping.New(s.c, v)
 	ms := getMapScratch()
-	err := s.mapper.mapOnLedger(attempt, v, m, s.ar, ms)
+	_, err := runStages(attempt, v, m, s.mapper, s.ar, ms)
 	putMapScratch(ms)
 	s.freeSnapshotLocked(attempt)
 	if err == nil {
@@ -751,6 +722,26 @@ func (s *Session) Release(m *mapping.Mapping) error {
 	s.releaseLocked(m)
 	s.emitLocked(Event{Type: EventRelease, ReleaseSeq: entry.seq})
 	return nil
+}
+
+// ReleaseTag is Release by caller tag: it tears down the active
+// environment admitted under tag, whatever mapping currently carries it.
+// Resolving the tag under the session lock is what makes a release safe
+// against a concurrent migrate or repair, which commit a replacement
+// mapping under the same tag before their owner hears about it. An
+// empty tag names nothing.
+func (s *Session) ReleaseTag(tag string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Tags are unique among active environments: at most one matches.
+	for m, entry := range s.active {
+		if tag != "" && entry.tag == tag {
+			s.releaseLocked(m)
+			s.emitLocked(Event{Type: EventRelease, ReleaseSeq: entry.seq})
+			return nil
+		}
+	}
+	return ErrNotActive
 }
 
 //hmn:locked mu

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/virtual"
 )
@@ -317,7 +316,7 @@ func TestSessionConflictRetryCommits(t *testing.T) {
 	// guaranteeing a version change.
 	gate := make(chan struct{})
 	release := make(chan struct{})
-	s.mapper = &gatedMapper{inner: s.mapper, gate: gate, release: release}
+	s.mapper = &gatedMapper{sessionMapper: s.mapper, gate: gate, release: release}
 
 	done := make(chan error, 1)
 	var got AdmitStats
@@ -342,24 +341,20 @@ func TestSessionConflictRetryCommits(t *testing.T) {
 	}
 }
 
-// gatedMapper signals on gate the first time its pipeline runs and then
-// blocks until release is closed; later calls pass straight through.
+// gatedMapper signals on gate the first time its pipeline starts —
+// after the admission took its snapshot — and then blocks until release
+// is closed; later runs pass straight through.
 type gatedMapper struct {
-	inner   sessionMapper
+	sessionMapper
 	gate    chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func (g *gatedMapper) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error {
-	err := g.inner.mapOnLedger(led, v, m, arc, ms)
+func (g *gatedMapper) stages() (HMN, *Consolidator) {
 	g.once.Do(func() {
 		g.gate <- struct{}{}
 		<-g.release
 	})
-	return err
-}
-
-func (g *gatedMapper) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
-	return g.inner.rerouteOnLedger(led, v, assign, paths, linkIDs, arc, ms)
+	return g.sessionMapper.stages()
 }

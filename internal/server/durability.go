@@ -3,10 +3,9 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/spec"
@@ -27,14 +26,6 @@ import (
 //   - a background loop (and graceful shutdown, after the queue drains)
 //     takes full-state snapshots that truncate the log.
 
-// objectiveTolerance is the acceptable gap between a recovered
-// session's incremental Eq. (10) objective and a two-pass recompute
-// from its residual vector — the same band the core property tests use.
-// The residual vectors themselves are compared bit-exactly by the WAL
-// tests; the objective accumulators are rebuilt on restore (see
-// cluster.LedgerState) and may differ in the last few ulps.
-const objectiveTolerance = 1e-9
-
 // logf reports durability housekeeping through the configured logger.
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.cfg.Logf != nil {
@@ -50,25 +41,6 @@ func (s *Server) ackBarrier() error {
 		return nil
 	}
 	return s.wal.Barrier()
-}
-
-// attachWAL installs the session's commit hook. The hook runs under the
-// session lock: it serializes the event into a record and buffers it —
-// the fsync is paid once per acknowledged request, not per operation.
-func (s *Server) attachWAL(sess *session) {
-	if s.wal == nil {
-		return
-	}
-	sid, overhead := sess.id, sess.overhead
-	sess.core.SetCommitHook(func(ev core.Event) {
-		if err := s.wal.Append(wal.RecordFromEvent(sid, overhead, ev)); err != nil {
-			// The operation is already committed in memory and cannot be
-			// undone here; a failed append faults the log permanently, so
-			// the ack-path barrier fails too and no client is ever told
-			// the lost operation is durable.
-			s.logf("hmnd: wal append (session %s): %v", sid, err)
-		}
-	})
 }
 
 // appendOpen logs a session's open record. Called under s.mu, before
@@ -130,104 +102,36 @@ func (s *Server) Recover() error {
 		s.logf("hmnd: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", recovered.TruncatedBytes)
 	}
 
-	// maxSession tracks the highest session ordinal the directory has
-	// ever named — snapshotted, opened, or closed — so a restarted
-	// daemon never reuses a session ID. A reused ID would alias the
-	// retired session's snapshot boundary at the *next* recovery and
-	// silently swallow the new session's low-index records.
-	maxSession := 0
-	noteSID := func(sid string) {
-		if n, ok := sessionOrdinal(sid); ok && n > maxSession {
-			maxSession = n
-		}
+	rb, err := wal.Rebuild(recovered)
+	if err != nil {
+		return err
 	}
+	s.mReplayRecords.Add(uint64(rb.Replayed))
 
-	// Phase 1: sessions from the snapshot, each restored at its own
-	// operation boundary.
-	restoring := make(map[string]*session)
-	boundary := make(map[string]uint64)
-	if snap := recovered.Snapshot; snap != nil {
-		for _, sn := range snap.Sessions {
-			cs, _, err := wal.RestoreSnap(sn)
-			if err != nil {
-				return err
-			}
-			cs.SetRouteWorkers(s.cfg.RouteWorkers)
-			sess := s.sessionShell(sn.SID, sn.Cluster, sn.Mapper, cs)
-			sess.overhead.Proc, sess.overhead.Mem, sess.overhead.Stor = sn.Proc, sn.Mem, sn.Stor
-			sess.nextEnv = int(sn.NextEnv)
-			restoring[sn.SID] = sess
-			boundary[sn.SID] = sn.OpCount
-			noteSID(sn.SID)
-		}
-	}
-
-	// Phase 2: the log suffix, in append order. Operation records at or
-	// below the owning session's snapshot boundary were already applied
-	// by the snapshot; open records for snapshotted sessions and close
-	// records for unknown ones are idempotent no-ops.
-	for i := range recovered.Records {
-		rec := &recovered.Records[i]
-		noteSID(rec.SID)
-		switch rec.Kind {
-		case wal.KindOpen:
-			if restoring[rec.SID] != nil {
-				continue
-			}
-			cs, _, err := wal.OpenSession(rec)
-			if err != nil {
-				return err
-			}
-			cs.SetRouteWorkers(s.cfg.RouteWorkers)
-			restoring[rec.SID] = s.sessionShell(rec.SID, rec.Open.Cluster, rec.Open.Mapper, cs)
-			restoring[rec.SID].overhead.Proc = rec.Open.Proc
-			restoring[rec.SID].overhead.Mem = rec.Open.Mem
-			restoring[rec.SID].overhead.Stor = rec.Open.Stor
-		case wal.KindClose:
-			// The boundary entry must die with the session: a later open
-			// record for the same SID starts a fresh session at index 0,
-			// and a stale boundary would skip its records as if the old
-			// snapshot had covered them.
-			delete(restoring, rec.SID)
-			delete(boundary, rec.SID)
-		default:
-			sess := restoring[rec.SID]
-			if sess == nil {
-				return fmt.Errorf("server: wal record %q for unknown session %s", rec.Kind, rec.SID)
-			}
-			if rec.Index <= boundary[rec.SID] {
-				continue
-			}
-			if err := wal.ReplayRecord(sess.core, rec); err != nil {
-				return err
-			}
-			s.mReplayRecords.Inc()
-			noteEnvOrdinals(sess, rec)
-		}
-	}
-
-	// Phase 3: install. The environment registry is rebuilt from each
-	// session's final active set — tags are hmnd's environment IDs, and
-	// they survive snapshots, admissions and repairs.
-	ids := make([]string, 0, len(restoring))
-	for sid := range restoring {
-		ids = append(ids, sid)
-	}
-	sort.Strings(ids)
+	// Install. The environment registry is rebuilt from each session's
+	// final active set — tags are hmnd's environment IDs, and they
+	// survive snapshots, admissions and repairs.
 	totalEnvs := 0
-	for _, sid := range ids {
-		sess := restoring[sid]
-		for _, a := range sess.core.Export().Active {
-			if a.Tag == "" {
-				continue
-			}
-			sess.envs[a.Tag] = &envRecord{env: a.M.Env, m: a.M}
-			// Belt and braces on top of the snapshotted NextEnv and the
-			// replayed-record bumps: no live environment's ID is ever
-			// handed out again, even against a snapshot whose counter
-			// lagged its active set.
-			if n, ok := envOrdinal(a.Tag); ok && n > sess.nextEnv {
+	for _, rs := range rb.Sessions {
+		rs.Core.SetRouteWorkers(s.cfg.RouteWorkers)
+		sess := s.newSession(rs.SID, rs.Core, rs.Cluster, rs.Mapper, rs.Overhead)
+		sess.nextEnv = int(rs.NextEnv)
+		// Move the counter past every ID a replayed record named and,
+		// belt and braces against a snapshot whose counter lagged its
+		// active set, every live environment's ID: a recovered daemon
+		// never hands out an ID twice.
+		bump := func(tag string) {
+			if n, ok := wal.Ordinal("e", tag); ok && n > sess.nextEnv {
 				sess.nextEnv = n
+			}
+		}
+		for _, tag := range rs.Tags {
+			bump(tag)
+		}
+		for _, a := range sess.core.Export().Active {
+			if a.Tag != "" {
+				sess.envs[a.Tag] = &envRecord{env: a.M.Env, m: a.M}
+				bump(a.Tag)
 			}
 		}
 		totalEnvs += len(sess.envs)
@@ -236,25 +140,29 @@ func (s *Server) Recover() error {
 				return err
 			}
 		}
-		s.attachWAL(sess)
+		s.wal.Attach(sess.id, sess.overhead, sess.core)
 		s.attachRebalance(sess)
 		sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
 		s.mu.Lock()
-		s.sessions[sid] = sess
+		s.sessions[rs.SID] = sess
 		s.mu.Unlock()
 		// The session is fully replayed and durable; the background loop
 		// (if configured) may migrate its guests from here on.
 		s.startRebalance(sess)
 	}
+	// Never reuse an ID the directory named — snapshotted, opened or
+	// closed.
 	s.mu.Lock()
-	if maxSession > s.nextSession {
-		s.nextSession = maxSession
+	for _, sid := range rb.SIDs {
+		if n, ok := wal.Ordinal("s", sid); ok && n > s.nextSession {
+			s.nextSession = n
+		}
 	}
 	s.mu.Unlock()
-	s.mSessions.Set(float64(len(ids)))
+	s.mSessions.Set(float64(len(rb.Sessions)))
 	s.mEnvs.Set(float64(totalEnvs))
 	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
-		len(ids), totalEnvs, int(s.mReplayRecords.Value()))
+		len(rb.Sessions), totalEnvs, rb.Replayed)
 
 	if s.cfg.SnapshotInterval > 0 {
 		s.snapStop = make(chan struct{})
@@ -265,15 +173,15 @@ func (s *Server) Recover() error {
 	return nil
 }
 
-// verifySession cross-checks one recovered session before it serves.
-// The session is not yet published, so no handler can race it.
+// verifySession cross-checks one recovered session before it serves:
+// the objective check every recovery shares (wal.VerifyObjective), and
+// the environment registry against the session's active count. The
+// session is not yet published, so no handler can race it.
 //
 //hmn:locked mu
 func verifySession(sess *session) error {
-	inc := sess.core.ObjectiveStdDev()
-	re := mapping.Objective(sess.core.ResidualProc())
-	if diff := inc - re; diff > objectiveTolerance || diff < -objectiveTolerance {
-		return fmt.Errorf("server: session %s recovered objective %.17g diverges from recomputed %.17g", sess.id, inc, re)
+	if err := wal.VerifyObjective(sess.core); err != nil {
+		return fmt.Errorf("server: session %s %w", sess.id, err)
 	}
 	if got, want := len(sess.envs), sess.core.Active(); got != want {
 		return fmt.Errorf("server: session %s recovered %d environment records for %d active environments", sess.id, got, want)
@@ -281,69 +189,21 @@ func verifySession(sess *session) error {
 	return nil
 }
 
-// sessionShell builds the server-side wrapper for a recovered core
-// session (metrics gauge included; the env registry starts empty).
-func (s *Server) sessionShell(sid string, cs spec.ClusterSpec, mapperName string, core *core.Session) *session {
+// newSession builds the server-side wrapper for a core session —
+// opened by a client or rebuilt by recovery — with its metrics gauge and
+// an empty environment registry.
+func (s *Server) newSession(sid string, cs *core.Session, clusterSpec spec.ClusterSpec, mapperName string, overhead cluster.VMMOverhead) *session {
 	return &session{
 		id:          sid,
-		core:        core,
-		clusterSpec: cs,
+		core:        cs,
+		overhead:    overhead,
+		clusterSpec: clusterSpec,
 		mapperName:  mapperName,
 		stddev: s.reg.Gauge(
 			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sid),
 			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
 		envs: make(map[string]*envRecord),
 	}
-}
-
-// noteEnvOrdinals advances the session's environment-ID counter past
-// every ID a replayed record names, so a recovered daemon never hands
-// out an ID twice. The session is not yet published (recovery runs
-// before the listener), so no handler can race it.
-//
-//hmn:locked mu
-func noteEnvOrdinals(sess *session, rec *wal.Record) {
-	bump := func(tag string) {
-		if n, ok := envOrdinal(tag); ok && n > sess.nextEnv {
-			sess.nextEnv = n
-		}
-	}
-	switch rec.Kind {
-	case wal.KindAdmit:
-		bump(rec.Admit.Tag)
-	case wal.KindBatch:
-		for i := range rec.Batch {
-			bump(rec.Batch[i].Tag)
-		}
-	case wal.KindFail:
-		for _, rr := range rec.Fail.Repairs {
-			bump(rr.Tag)
-		}
-	}
-}
-
-// envOrdinal parses hmnd's environment IDs ("e7" → 7).
-func envOrdinal(tag string) (int, bool) {
-	if !strings.HasPrefix(tag, "e") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(tag[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// sessionOrdinal parses hmnd's session IDs ("s3" → 3).
-func sessionOrdinal(sid string) (int, bool) {
-	if !strings.HasPrefix(sid, "s") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(sid[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // exportAll captures every open session for a snapshot, in session-ID

@@ -563,3 +563,43 @@ func TestSnapshotLoop(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 }
+
+// TestRecoverRefusesUnknownSession pins hmnd's recovery refusal: an
+// operation record for a session no snapshot entry or open record
+// declared — never opened, or already closed — fails Recover instead
+// of being dropped.
+func TestRecoverRefusesUnknownSession(t *testing.T) {
+	_, cs := testbed(t)
+	release := wal.Record{Kind: wal.KindRelease, SID: "s1", Index: 1, Release: &wal.ReleaseRec{Seq: 1}}
+	for name, recs := range map[string][]wal.Record{
+		"never opened": {release},
+		"after close": {
+			{Kind: wal.KindOpen, SID: "s1", Open: &wal.OpenRec{Cluster: cs, Mapper: "HMN"}},
+			{Kind: wal.KindClose, SID: "s1"},
+			release,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, _, err := wal.Open(dir, wal.Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range recs {
+				if err := w.Append(&recs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			s := New(durableConfig(t, dir))
+			defer s.Close()
+			err = s.Recover()
+			if err == nil || !strings.Contains(err.Error(), "unknown session s1") {
+				t.Fatalf("Recover = %v, want an unknown-session refusal", err)
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
@@ -321,4 +322,82 @@ func TestRebalanceKillDuringChurn(t *testing.T) {
 	if code, _, _ := doJSON(t, client2, "DELETE", base2+"/envs/"+final, nil); code != http.StatusNoContent {
 		t.Fatalf("release of final env after restart: %d", code)
 	}
+}
+
+// TestReleaseRacesRebalance hammers DELETE .../envs/{eid} against
+// POST .../rebalance. A rebalance commits its replacement mapping in
+// core before its OnCommit hook updates the registry, so a release that
+// resolved the environment's mapping outside the core lock missed it: a
+// 404 for an environment that stays deployed forever. A commit hook
+// holds each migrate commit open while the DELETE arrives, so every
+// round lands the release inside that window.
+func TestReleaseRacesRebalance(t *testing.T) {
+	cs := rebalanceTestbed(t)
+	s, ts := startServer(t, Config{Workers: 2, QueueDepth: 16})
+	client := ts.Client()
+	sid := openSession(t, client, ts.URL, cs, "")
+	base := ts.URL + "/v1/sessions/" + sid
+
+	s.mu.Lock()
+	sess := s.sessions[sid]
+	s.mu.Unlock()
+	inCommit := make(chan struct{})
+	proceed := make(chan struct{})
+	sess.core.SetCommitHook(func(ev core.Event) {
+		if ev.Type == core.EventMigrate {
+			inCommit <- struct{}{}
+			<-proceed
+		}
+	})
+
+	for round := 0; round < 20; round++ {
+		pair := unbalance(t, client, base)
+		rebalanced := make(chan int, 1)
+		go func() { rebalanced <- statusOf(client, "POST", base+"/rebalance") }()
+		<-inCommit
+		released := make(chan int, 1)
+		go func() { released <- statusOf(client, "DELETE", base+"/envs/"+pair) }()
+		// Give the DELETE time to reach the session while the migrate
+		// commit is held open. The pause only widens the window the
+		// defect needs; a correct release succeeds however the two
+		// interleave, so it cannot make the test flaky.
+		time.Sleep(20 * time.Millisecond)
+		close(proceed)
+		if code := <-rebalanced; code != http.StatusOK {
+			t.Fatalf("round %d: rebalance: %d", round, code)
+		}
+		if code := <-released; code != http.StatusNoContent {
+			t.Fatalf("round %d: release racing a rebalance: %d, want 204", round, code)
+		}
+		proceed = make(chan struct{})
+		code, raw, _ := doJSON(t, client, "GET", base+"/residuals", nil)
+		if code != http.StatusOK {
+			t.Fatalf("residuals: %d %s", code, raw)
+		}
+		var res ResidualsResponse
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.ActiveEnvs != 0 {
+			t.Fatalf("round %d: core still holds %d environments after every release succeeded", round, res.ActiveEnvs)
+		}
+	}
+	if got := metricValue(t, scrape(t, client, ts.URL), "hmnd_active_envs"); got != 0 {
+		t.Fatalf("hmnd_active_envs = %v after releasing everything", got)
+	}
+}
+
+// statusOf sends a bodyless request and returns its status code, or 0
+// when the request fails — safe to call off the test goroutine.
+func statusOf(client *http.Client, method, url string) int {
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		return 0
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }

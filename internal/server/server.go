@@ -605,18 +605,8 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextSession++
 	id := fmt.Sprintf("s%d", s.nextSession)
-	sess := &session{
-		id:          id,
-		core:        cs,
-		overhead:    overhead,
-		mapperName:  mapperName,
-		clusterSpec: req.Cluster,
-		stddev: s.reg.Gauge(
-			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id),
-			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]*envRecord),
-	}
-	s.attachWAL(sess)
+	sess := s.newSession(id, cs, req.Cluster, mapperName, overhead)
+	s.wal.Attach(sess.id, sess.overhead, sess.core)
 	s.attachRebalance(sess)
 	s.appendOpenLocked(sess)
 	s.sessions[id] = sess
@@ -724,7 +714,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		if sess.closed {
 			sess.mu.Unlock()
-			_ = sess.core.Release(m)
+			_ = sess.core.ReleaseTag(envID)
 			failed.Inc()
 			mapErr = fmt.Errorf("session %s closed", sess.id)
 			return
@@ -733,7 +723,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 			// Mapped, but the request timed out mid-flight: roll back so
 			// no orphan environment holds resources.
 			sess.mu.Unlock()
-			_ = sess.core.Release(m)
+			_ = sess.core.ReleaseTag(envID)
 			failed.Inc()
 			mapErr = ctx.Err()
 			return
@@ -809,19 +799,26 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 	envID := r.PathValue("eid")
 	var relErr error
 	submitErr := s.submit(r.Context(), func() {
+		// Release by tag, and drop the registry entry only once core has
+		// let go: a rebalance commits its replacement mapping in core
+		// before its OnCommit hook updates rec.m, so releasing rec.m
+		// could miss and strand the environment. Core resolves the tag
+		// under its own lock; sess.mu is not held across that call, so a
+		// release waiting on a serialized admission blocks nothing else.
 		sess.mu.Lock()
 		rec := sess.envs[envID]
+		sess.mu.Unlock()
 		if rec == nil {
-			sess.mu.Unlock()
 			relErr = fmt.Errorf("no environment %q in session %s", envID, sess.id)
 			return
 		}
-		delete(sess.envs, envID)
-		sess.mu.Unlock()
-		if err := sess.core.Release(rec.m); err != nil {
+		if err := sess.core.ReleaseTag(envID); err != nil {
 			relErr = err
 			return
 		}
+		sess.mu.Lock()
+		delete(sess.envs, envID)
+		sess.mu.Unlock()
 		s.mEnvs.Dec()
 		sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
 	})
@@ -861,8 +858,8 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	envs := sess.envs
 	sess.envs = make(map[string]*envRecord)
 	sess.mu.Unlock()
-	for _, rec := range envs {
-		if err := sess.core.Release(rec.m); err == nil {
+	for eid := range envs {
+		if err := sess.core.ReleaseTag(eid); err == nil {
 			s.mEnvs.Dec()
 		}
 	}

@@ -221,22 +221,8 @@ func (f *Federation) freshWAL(sh *Shard) error {
 	if err := w.Barrier(); err != nil {
 		return err
 	}
-	f.attachWAL(sh)
+	w.Attach(shardSID(sh.Index), f.cfg.Overhead, sh.sess)
 	return nil
-}
-
-// attachWAL installs the shard session's commit hook; it runs under
-// the session lock and buffers one record per committed operation.
-func (f *Federation) attachWAL(sh *Shard) {
-	sid, overhead, w := shardSID(sh.Index), f.cfg.Overhead, sh.w
-	sh.sess.SetCommitHook(func(ev core.Event) {
-		if err := w.Append(wal.RecordFromEvent(sid, overhead, ev)); err != nil {
-			// Already committed in memory; the fault is sticky, so the
-			// ack-path barrier fails too and no client is ever told the
-			// lost operation is durable.
-			f.logf("shard %d: wal append: %v", sh.Index, err)
-		}
-	})
 }
 
 // walHooks adapts the federation hooks for wal.Open.
@@ -641,35 +627,11 @@ func sortedEnvIDs(t *tenant) []string {
 		out = append(out, eid)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, _ := envOrdinal(out[i])
-		b, _ := envOrdinal(out[j])
+		a, _ := wal.Ordinal("e", out[i])
+		b, _ := wal.Ordinal("e", out[j])
 		return a < b
 	})
 	return out
-}
-
-// envOrdinal parses environment IDs ("e7" → 7).
-func envOrdinal(eid string) (int, bool) {
-	if !strings.HasPrefix(eid, "e") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(eid[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// sessionOrdinal parses tenant session IDs ("s3" → 3).
-func sessionOrdinal(sid string) (int, bool) {
-	if !strings.HasPrefix(sid, "s") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(sid[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // CloseTenant releases every environment of sid and retires the ID.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mapping"
 	"repro/internal/wal"
 )
 
@@ -25,10 +24,6 @@ const metaName = "federation.json"
 
 // metaTmp is the atomic-rename staging name for metaName.
 const metaTmp = "federation.json.tmp"
-
-// objectiveTolerance bounds the incremental-vs-recomputed objective
-// drift VerifyReplay accepts, matching the single-daemon verifier.
-const objectiveTolerance = 1e-9
 
 // fedMeta is the durable tenant registry. It changes only on tenant
 // open and close — environment membership is recovered from the
@@ -206,7 +201,7 @@ func Recover(cfg Config) (*Federation, error) {
 	f.nextSID = meta.NextSession
 	for _, sid := range meta.Tenants {
 		f.tenants[sid] = &tenant{id: sid, envs: make(map[string]*envRec)}
-		if n, ok := sessionOrdinal(sid); ok && n > f.nextSID {
+		if n, ok := wal.Ordinal("s", sid); ok && n > f.nextSID {
 			f.nextSID = n
 		}
 	}
@@ -235,7 +230,7 @@ func Recover(cfg Config) (*Federation, error) {
 				return nil, err
 			}
 		}
-		f.attachWAL(sh)
+		sh.w.Attach(shardSID(k), f.cfg.Overhead, sh.sess)
 		sums[k] = sh.sess.ResidualSummary()
 	}
 	f.mu.Lock()
@@ -249,10 +244,13 @@ func Recover(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// recoverShard rebuilds shard k from its WAL directory: the snapshot
-// session restored at its operation boundary, then the log suffix
-// replayed in append order. envHigh is the highest environment ordinal
-// the shard's state names, for the global ID counter.
+// recoverShard rebuilds shard k from its WAL directory with the shared
+// recovery function (wal.Rebuild), then refuses any state a shard
+// directory cannot legitimately hold: a snapshot that is not exactly
+// the shard's one session, a record naming another session, a close
+// record (shards never close), or no session state at all. envHigh is
+// the highest environment ordinal the shard's state names, for the
+// global ID counter.
 func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 	sid := shardSID(k)
 	w, recovered, err := wal.Open(filepath.Join(f.cfg.DataDir, sid), f.walHooks())
@@ -266,95 +264,50 @@ func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 	if recovered.TruncatedBytes > 0 {
 		f.logf("shard %d: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", k, recovered.TruncatedBytes)
 	}
-
-	sh := &Shard{
-		Index: k,
-		w:     w,
-		ops:   make(chan func(), f.cfg.QueueDepth),
-		done:  make(chan struct{}),
+	if snap := recovered.Snapshot; snap != nil && (len(snap.Sessions) != 1 || snap.Sessions[0].SID != sid) {
+		return fail(fmt.Errorf("shard: %s snapshot holds %d sessions (want exactly %q)", sid, len(snap.Sessions), sid))
 	}
-	var boundary uint64
-	envHigh := 0
-	if snap := recovered.Snapshot; snap != nil {
-		if len(snap.Sessions) != 1 || snap.Sessions[0].SID != sid {
-			return fail(fmt.Errorf("shard: %s snapshot holds %d sessions (want exactly %q)", sid, len(snap.Sessions), sid))
-		}
-		sn := snap.Sessions[0]
-		cs, c, err := wal.RestoreSnap(sn)
-		if err != nil {
-			return fail(err)
-		}
-		sh.sess, sh.c, sh.clusterSpec = cs, c, sn.Cluster
-		boundary = sn.OpCount
-		envHigh = int(sn.NextEnv)
+	rb, err := wal.Rebuild(recovered)
+	if err != nil {
+		return fail(fmt.Errorf("shard: %s: %w", sid, err))
 	}
-	for i := range recovered.Records {
-		rec := &recovered.Records[i]
-		if rec.SID != sid {
-			return fail(fmt.Errorf("shard: %s log names session %s", sid, rec.SID))
-		}
-		switch rec.Kind {
-		case wal.KindOpen:
-			if sh.sess != nil {
-				continue
-			}
-			cs, c, err := wal.OpenSession(rec)
-			if err != nil {
-				return fail(err)
-			}
-			sh.sess, sh.c, sh.clusterSpec = cs, c, rec.Open.Cluster
-		case wal.KindClose:
-			return fail(fmt.Errorf("shard: %s log holds a close record; shards never close", sid))
-		default:
-			if sh.sess == nil {
-				return fail(fmt.Errorf("shard: %s record %q precedes the open record", sid, rec.Kind))
-			}
-			if rec.Index <= boundary {
-				continue
-			}
-			if err := wal.ReplayRecord(sh.sess, rec); err != nil {
-				return fail(err)
-			}
-			if f.cfg.Hooks.OnReplay != nil {
-				f.cfg.Hooks.OnReplay()
-			}
-			if high := recordEnvHigh(rec); high > envHigh {
-				envHigh = high
-			}
+	for _, name := range rb.SIDs {
+		if name != sid {
+			return fail(fmt.Errorf("shard: %s log names session %s", sid, name))
 		}
 	}
-	if sh.sess == nil {
+	switch {
+	case rb.Closes > 0:
+		return fail(fmt.Errorf("shard: %s log holds a close record; shards never close", sid))
+	case len(rb.Sessions) == 0:
 		return fail(fmt.Errorf("shard: %s directory holds no session state", sid))
+	}
+	if onReplay := f.cfg.Hooks.OnReplay; onReplay != nil {
+		for range rb.Replayed {
+			onReplay()
+		}
+	}
+	rs := rb.Sessions[0]
+	envHigh := int(rs.NextEnv)
+	for _, tag := range rs.Tags {
+		if _, eid, _, _, _, ok := parseTag(tag); ok {
+			if n, ok := wal.Ordinal("e", eid); ok && n > envHigh {
+				envHigh = n
+			}
+		}
+	}
+	sh := &Shard{
+		Index:       k,
+		c:           rs.Core.Cluster(),
+		clusterSpec: rs.Cluster,
+		sess:        rs.Core,
+		w:           w,
+		ops:         make(chan func(), f.cfg.QueueDepth),
+		done:        make(chan struct{}),
 	}
 	sh.sess.SetRouteWorkers(f.cfg.RouteWorkers)
 	f.attachRebalance(sh)
 	return sh, envHigh, nil
-}
-
-// recordEnvHigh extracts the highest environment ordinal a replayed
-// record's tags name.
-func recordEnvHigh(rec *wal.Record) int {
-	high := 0
-	bump := func(tag string) {
-		if _, eid, _, _, _, ok := parseTag(tag); ok {
-			if n, ok := envOrdinal(eid); ok && n > high {
-				high = n
-			}
-		}
-	}
-	switch rec.Kind {
-	case wal.KindAdmit:
-		bump(rec.Admit.Tag)
-	case wal.KindBatch:
-		for i := range rec.Batch {
-			bump(rec.Batch[i].Tag)
-		}
-	case wal.KindFail:
-		for _, rr := range rec.Fail.Repairs {
-			bump(rr.Tag)
-		}
-	}
-	return high
 }
 
 // rebuildRegistry reconstructs every tenant's environment records from
@@ -393,15 +346,15 @@ func (f *Federation) rebuildRegistry() error {
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].sid != order[j].sid {
-			a, aok := sessionOrdinal(order[i].sid)
-			b, bok := sessionOrdinal(order[j].sid)
+			a, aok := wal.Ordinal("s", order[i].sid)
+			b, bok := wal.Ordinal("s", order[j].sid)
 			if aok && bok && a != b {
 				return a < b
 			}
 			return order[i].sid < order[j].sid
 		}
-		a, _ := envOrdinal(order[i].eid)
-		b, _ := envOrdinal(order[j].eid)
+		a, _ := wal.Ordinal("e", order[i].eid)
+		b, _ := wal.Ordinal("e", order[j].eid)
 		return a < b
 	})
 
@@ -489,13 +442,11 @@ func (f *Federation) seedRouterEnvs() {
 	}
 }
 
-// verifyShard cross-checks a recovered shard before it serves: the
-// incremental objective must match a two-pass recompute.
+// verifyShard cross-checks a recovered shard before it serves
+// (wal.VerifyObjective).
 func verifyShard(sh *Shard) error {
-	inc := sh.sess.ObjectiveStdDev()
-	re := mapping.Objective(sh.sess.ResidualProc())
-	if diff := inc - re; diff > objectiveTolerance || diff < -objectiveTolerance {
-		return fmt.Errorf("shard: shard %d recovered objective %.17g diverges from recomputed %.17g", sh.Index, inc, re)
+	if err := wal.VerifyObjective(sh.sess); err != nil {
+		return fmt.Errorf("shard: shard %d %w", sh.Index, err)
 	}
 	return nil
 }

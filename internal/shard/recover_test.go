@@ -3,9 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/spec"
 	"repro/internal/wal"
 )
 
@@ -222,5 +225,115 @@ func TestRecoverMissingMeta(t *testing.T) {
 	_, err := Recover(Config{DataDir: t.TempDir()})
 	if err == nil || errors.Is(err, ErrClosed) {
 		t.Fatalf("Recover on an empty directory = %v", err)
+	}
+}
+
+// TestRecoverRefusals runs every state a shard directory cannot
+// legitimately hold through the shared recovery function and checks the
+// federation still refuses it. Each case starts from a cleanly closed
+// one-shard federation and tampers with shard-0's WAL directory.
+func TestRecoverRefusals(t *testing.T) {
+	openRec := func(t *testing.T, sid string) *wal.Record {
+		return &wal.Record{Kind: wal.KindOpen, SID: sid, Open: &wal.OpenRec{
+			Cluster: spec.FromCluster(testClusters(t, 1)[0]), Mapper: "HMN",
+		}}
+	}
+	cases := []struct {
+		name string
+		// wipe empties shard-0's directory before appending recs.
+		wipe bool
+		recs func(t *testing.T) []*wal.Record
+		// snapshot, when set, lands a snapshot holding these sessions.
+		snapshot []wal.SessionSnap
+		want     string
+	}{
+		{
+			name: "foreign SID in the log",
+			recs: func(t *testing.T) []*wal.Record { return []*wal.Record{openRec(t, "shard-9")} },
+			want: "log names session shard-9",
+		},
+		{
+			name: "close record",
+			recs: func(t *testing.T) []*wal.Record {
+				return []*wal.Record{{Kind: wal.KindClose, SID: "shard-0", Index: 99}}
+			},
+			want: "shards never close",
+		},
+		{
+			name: "close record followed by a reopen",
+			recs: func(t *testing.T) []*wal.Record {
+				return []*wal.Record{{Kind: wal.KindClose, SID: "shard-0", Index: 99}, openRec(t, "shard-0")}
+			},
+			want: "shards never close",
+		},
+		{
+			name: "record before the open record",
+			wipe: true,
+			recs: func(t *testing.T) []*wal.Record {
+				return []*wal.Record{
+					{Kind: wal.KindRelease, SID: "shard-0", Index: 1, Release: &wal.ReleaseRec{Seq: 1}},
+					openRec(t, "shard-0"),
+				}
+			},
+			want: "unknown session shard-0",
+		},
+		{
+			name:     "snapshot without exactly one session",
+			snapshot: []wal.SessionSnap{},
+			want:     "snapshot holds 0 sessions",
+		},
+		{
+			name: "no session state",
+			wipe: true,
+			want: "holds no session state",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			f, err := New(testClusters(t, 1), Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			shardDir := filepath.Join(dir, "shard-0")
+			if tc.wipe {
+				if err := os.RemoveAll(shardDir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w, _, err := wal.Open(shardDir, wal.Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.snapshot != nil {
+				if err := w.WriteSnapshot(func() ([]wal.SessionSnap, error) { return tc.snapshot, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.recs != nil {
+				for _, rec := range tc.recs(t) {
+					if err := w.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := w.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Recover(Config{DataDir: dir})
+			if err == nil {
+				r.Close()
+				t.Fatalf("Recover accepted a directory with %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Recover = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

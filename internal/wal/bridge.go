@@ -111,16 +111,16 @@ func ExportSession(sid string, clusterSpec spec.ClusterSpec, mapperName string, 
 	return sn
 }
 
-// RestoreSnap rebuilds a session from its snapshot entry.
-func RestoreSnap(sn SessionSnap) (*core.Session, *cluster.Cluster, error) {
+// restoreSnap rebuilds a session from its snapshot entry.
+func restoreSnap(sn SessionSnap) (*core.Session, error) {
 	c, err := sn.Cluster.ToCluster()
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: session %s snapshot cluster: %w", sn.SID, err)
+		return nil, fmt.Errorf("wal: session %s snapshot cluster: %w", sn.SID, err)
 	}
 	overhead := cluster.VMMOverhead{Proc: sn.Proc, Mem: sn.Mem, Stor: sn.Stor}
 	mapper, err := core.MapperByName(sn.Mapper, overhead)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: session %s snapshot: %w", sn.SID, err)
+		return nil, fmt.Errorf("wal: session %s snapshot: %w", sn.SID, err)
 	}
 	exp := core.SessionExport{
 		Ledger:  sn.Ledger,
@@ -130,23 +130,24 @@ func RestoreSnap(sn SessionSnap) (*core.Session, *cluster.Cluster, error) {
 	for _, a := range sn.Active {
 		env, err := a.Env.ToEnv()
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: session %s snapshot seq %d: %w", sn.SID, a.Seq, err)
+			return nil, fmt.Errorf("wal: session %s snapshot seq %d: %w", sn.SID, a.Seq, err)
 		}
 		m, err := a.M.ToMapping(c, env)
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: session %s snapshot seq %d: %w", sn.SID, a.Seq, err)
+			return nil, fmt.Errorf("wal: session %s snapshot seq %d: %w", sn.SID, a.Seq, err)
 		}
 		exp.Active = append(exp.Active, core.ActiveExport{Seq: a.Seq, Tag: a.Tag, M: m})
 	}
 	cs, err := core.RestoreSession(c, overhead, mapper, exp)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: session %s: %w", sn.SID, err)
+		return nil, fmt.Errorf("wal: session %s: %w", sn.SID, err)
 	}
-	return cs, c, nil
+	return cs, nil
 }
 
 // OpenSession rebuilds a fresh session from an open record (for
-// sessions born after the last snapshot).
+// sessions born after the last snapshot). Recovery reaches it through
+// Rebuild.
 func OpenSession(rec *Record) (*core.Session, *cluster.Cluster, error) {
 	if rec.Open == nil {
 		return nil, nil, fmt.Errorf("wal: open record for %s has no body", rec.SID)
@@ -168,9 +169,9 @@ func OpenSession(rec *Record) (*core.Session, *cluster.Cluster, error) {
 }
 
 // ReplayRecord re-applies one operation record against its session.
-// Callers dispatch open/close records themselves (they create and
-// retire sessions) and skip records whose Index is at or below the
-// session's snapshot OpCount.
+// Rebuild dispatches open/close records itself (they create and retire
+// sessions) and skips records whose Index is at or below the session's
+// snapshot OpCount.
 //
 //hmn:walreplayer
 func ReplayRecord(cs *core.Session, rec *Record) error {
