@@ -72,10 +72,12 @@
 // on per-shard workers so unrelated environments never contend on a
 // lock or an fsync. -shard-cluster names a cluster-spec JSON file
 // instantiated once per shard; -gateway-bw budgets the inter-shard
-// bandwidth that split admissions may charge. The durability and
-// rebalancing flags apply per shard (-data-dir holds one WAL directory
-// per shard plus the tenant registry, and a restart recovers every
-// shard before serving):
+// bandwidth that split admissions may charge. Both modes share one HTTP
+// front end and one set of flag checks: the durability, rebalancing,
+// routing and profiling flags apply per shard (-data-dir holds one WAL
+// directory per shard plus the tenant registry, and a restart recovers
+// every shard before serving), while -workers and -batch, which size the
+// single-session admission queue, are refused with -shards:
 //
 //	hmnd -addr :8080 -shards 4 -shard-cluster cluster.json -gateway-bw 100 -data-dir /var/lib/hmnd
 //
@@ -101,65 +103,80 @@ import (
 	"repro/internal/spec"
 )
 
+// options are hmnd's flag values.
+type options struct {
+	addr, pprofAddr, dataDir, shardSpec           string
+	workers, queue, batch, rebMoves, routeWorkers int
+	mutexFrac, blockRate, shards                  int
+	timeout, drain, snapEvery, rebEvery           time.Duration
+	replay                                        bool
+	gatewayBW                                     float64
+}
+
+// parseFlags parses hmnd's command line.
+func parseFlags(args []string) options {
+	var o options
+	fs := flag.NewFlagSet("hmnd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queue, "queue", 64, "admission queue depth (per shard with -shards)")
+	fs.IntVar(&o.batch, "batch", 1, "map requests a worker may admit per wakeup as one batched round (1 = no batching)")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request timeout (queue wait included)")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown budget")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
+	fs.DurationVar(&o.snapEvery, "snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
+	fs.BoolVar(&o.replay, "replay", false, "verify every recovered session against a recompute before serving (needs -data-dir)")
+	fs.DurationVar(&o.rebEvery, "rebalance-interval", 0, "background rebalancing round interval per session (0 = disabled; one-shot endpoint always available)")
+	fs.IntVar(&o.rebMoves, "rebalance-max-moves", 8, "guest moves per rebalancing round, swaps counting two (0 = unbounded)")
+	fs.IntVar(&o.routeWorkers, "route-workers", 0, "parallel Networking stage workers per admission (<= 1 = serial; output is bit-identical either way)")
+	fs.IntVar(&o.mutexFrac, "mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
+	fs.IntVar(&o.blockRate, "block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
+	fs.IntVar(&o.shards, "shards", 0, "federation mode: independent shard count (0 = single-session daemon)")
+	fs.Float64Var(&o.gatewayBW, "gateway-bw", 0, "inter-shard gateway bandwidth budget in Mbps for split admissions (needs -shards; 0 = splits disabled)")
+	fs.StringVar(&o.shardSpec, "shard-cluster", "", "cluster spec JSON instantiated once per shard (needs -shards; optional when -data-dir holds recoverable state)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
+	return o
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth")
-		batch     = flag.Int("batch", 1, "map requests a worker may admit per wakeup as one batched round (1 = no batching)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		dataDir   = flag.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
-		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
-		replay    = flag.Bool("replay", false, "verify every recovered session against a recompute before serving (needs -data-dir)")
-		rebEvery  = flag.Duration("rebalance-interval", 0, "background rebalancing round interval per session (0 = disabled; one-shot endpoint always available)")
-		rebMoves  = flag.Int("rebalance-max-moves", 8, "guest moves per rebalancing round, swaps counting two (0 = unbounded)")
-		routeWkrs = flag.Int("route-workers", 0, "parallel Networking stage workers per admission (<= 1 = serial; output is bit-identical either way)")
-		mutexFrac = flag.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
-		blockRate = flag.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
-		shards    = flag.Int("shards", 0, "federation mode: independent shard count (0 = single-session daemon)")
-		gatewayBW = flag.Float64("gateway-bw", 0, "inter-shard gateway bandwidth budget in Mbps for split admissions (needs -shards; 0 = splits disabled)")
-		shardSpec = flag.String("shard-cluster", "", "cluster spec JSON instantiated once per shard (needs -shards; optional when -data-dir holds recoverable state)")
-	)
-	flag.Parse()
-
-	if *shards > 0 {
-		fedCfg, err := federationConfig(*shards, *gatewayBW, *shardSpec, *timeout,
-			*dataDir, *snapEvery, *replay, *rebEvery, *rebMoves, *routeWkrs, *queue)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
-			os.Exit(2)
-		}
-		if err := runFederation(*addr, fedCfg, *drain, *pprofAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *gatewayBW != 0 || *shardSpec != "" {
-		fmt.Fprintln(os.Stderr, "hmnd: -gateway-bw and -shard-cluster need -shards")
-		os.Exit(2)
-	}
-
-	cfg, err := buildConfig(*workers, *queue, *batch, *timeout)
-	if err == nil {
-		err = durabilityConfig(&cfg, *dataDir, *snapEvery, *replay)
-	}
-	if err == nil {
-		err = rebalanceConfig(&cfg, *rebEvery, *rebMoves)
-	}
-	if err == nil {
-		err = profileConfig(&cfg, *routeWkrs, *mutexFrac, *blockRate)
-	}
+	o := parseFlags(os.Args[1:])
+	cfg, err := configure(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
 		os.Exit(2)
 	}
-	if err := run(*addr, cfg, *drain, *pprofAddr); err != nil {
+	logger := log.New(os.Stderr, "hmnd: ", log.LstdFlags)
+	cfg.Logf = logger.Printf
+	var srv daemon
+	if o.shards > 0 {
+		srv = server.NewFederation(cfg)
+	} else {
+		srv = server.New(cfg)
+	}
+	if err := serve(o, srv, logger); err != nil {
 		fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// configure validates the flags of either mode into one server config
+// and, once everything checked out, arms the contention profilers.
+func configure(o options) (server.Config, error) {
+	cfg, err := buildConfig(o.workers, o.queue, o.batch, o.timeout)
+	if err == nil {
+		err = durabilityConfig(&cfg, o.dataDir, o.snapEvery, o.replay)
+	}
+	if err == nil {
+		err = rebalanceConfig(&cfg, o.rebEvery, o.rebMoves)
+	}
+	if err == nil {
+		err = federationConfig(&cfg, o)
+	}
+	if err == nil {
+		err = profileConfig(&cfg, o.routeWorkers, o.mutexFrac, o.blockRate)
+	}
+	return cfg, err
 }
 
 // buildConfig validates the flag values into a server config.
@@ -233,124 +250,45 @@ func profileConfig(cfg *server.Config, routeWorkers, mutexFrac, blockRate int) e
 	return nil
 }
 
-// federationConfig validates the federation flags into a FedConfig,
-// loading the per-shard cluster spec when one was named. The spec may
-// be omitted only when the data directory already holds recoverable
-// federation state.
-func federationConfig(shards int, gatewayBW float64, specPath string, timeout time.Duration,
-	dataDir string, snapEvery time.Duration, replay bool,
-	rebEvery time.Duration, rebMoves, routeWorkers, queue int) (server.FedConfig, error) {
-	var cfg server.FedConfig
-	if gatewayBW < 0 {
-		return cfg, fmt.Errorf("-gateway-bw must be >= 0, got %g", gatewayBW)
-	}
-	if timeout <= 0 {
-		return cfg, fmt.Errorf("-timeout must be positive, got %v", timeout)
-	}
-	if snapEvery < 0 {
-		return cfg, fmt.Errorf("-snapshot-interval must be >= 0, got %v", snapEvery)
-	}
-	if replay && dataDir == "" {
-		return cfg, fmt.Errorf("-replay needs -data-dir")
-	}
-	if rebEvery < 0 {
-		return cfg, fmt.Errorf("-rebalance-interval must be >= 0, got %v", rebEvery)
-	}
-	if rebMoves < 0 {
-		return cfg, fmt.Errorf("-rebalance-max-moves must be >= 0, got %d", rebMoves)
-	}
-	if routeWorkers < 0 {
-		return cfg, fmt.Errorf("-route-workers must be >= 0, got %d", routeWorkers)
-	}
-	recoverable := dataDir != "" && shard.HasState(dataDir)
-	if specPath == "" && !recoverable {
-		return cfg, fmt.Errorf("-shards needs -shard-cluster (no recoverable state in %q)", dataDir)
-	}
-	if specPath != "" && !recoverable {
-		raw, err := os.Open(specPath)
-		if err != nil {
-			return cfg, fmt.Errorf("-shard-cluster: %w", err)
+// federationConfig validates the federation flags into cfg, loading
+// the per-shard cluster spec when one was named. The spec may be
+// omitted only when the data directory already holds recoverable
+// federation state. Flags that only one mode reads are refused in the
+// other rather than silently ignored.
+func federationConfig(cfg *server.Config, o options) error {
+	switch {
+	case o.shards < 0:
+		return fmt.Errorf("-shards must be >= 0, got %d", o.shards)
+	case o.shards == 0:
+		if o.gatewayBW != 0 || o.shardSpec != "" {
+			return errors.New("-gateway-bw and -shard-cluster need -shards")
 		}
-		defer raw.Close()
-		var cs spec.ClusterSpec
-		if err := spec.DecodeStrict(raw, &cs); err != nil {
-			return cfg, fmt.Errorf("-shard-cluster %s: %w", specPath, err)
-		}
-		cfg.ClusterSpecs = make([]spec.ClusterSpec, shards)
-		for k := range cfg.ClusterSpecs {
-			cfg.ClusterSpecs[k] = cs
-		}
+		return nil
+	case o.workers != 0 || o.batch != 1:
+		return errors.New("-workers and -batch size the single-session admission queue; shards run one worker each, so they do not apply with -shards")
+	case o.gatewayBW < 0:
+		return fmt.Errorf("-gateway-bw must be >= 0, got %g", o.gatewayBW)
 	}
-	cfg.GatewayBW = gatewayBW
-	cfg.DataDir = dataDir
-	cfg.SnapshotInterval = snapEvery
-	cfg.VerifyReplay = replay
-	cfg.RebalanceInterval = rebEvery
-	cfg.RebalanceMaxMoves = rebMoves
-	cfg.RouteWorkers = routeWorkers
-	cfg.RequestTimeout = timeout
-	cfg.QueueDepth = queue
-	return cfg, nil
-}
-
-// runFederation serves the sharded daemon until SIGINT/SIGTERM, then
-// drains: listener first (no admission left in flight), shards after.
-func runFederation(addr string, cfg server.FedConfig, drain time.Duration, pprofAddr string) error {
-	logger := log.New(os.Stderr, "hmnd: ", log.LstdFlags)
-	cfg.Logf = logger.Printf
-	srv := server.NewFederation(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	var pprofSrv *http.Server
-	if pprofAddr != "" {
-		pprofSrv = &http.Server{Addr: pprofAddr, Handler: pprofHandler()}
-		go func() {
-			logger.Printf("pprof listening on %s", pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("pprof server: %v", err)
-			}
-		}()
-		defer pprofSrv.Close()
+	cfg.GatewayBW = o.gatewayBW
+	if o.dataDir != "" && shard.HasState(o.dataDir) {
+		return nil // recovery rebuilds the shards from their WALs
 	}
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("federation listening on %s", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	// Recover with the listener already up, exactly as the classic mode:
-	// /v1 answers 503 "replaying" until every shard is rebuilt.
-	if err := srv.Recover(); err != nil {
-		httpSrv.Close()
-		return fmt.Errorf("recover: %w", err)
+	if o.shardSpec == "" {
+		return fmt.Errorf("-shards needs -shard-cluster (no recoverable state in %q)", o.dataDir)
 	}
-	logger.Printf("federation serving (%d shards, gateway %g Mbps)",
-		srv.Federation().Shards(), srv.Federation().Stats().GatewayBudget)
-
-	select {
-	case err := <-errc:
-		srv.Close()
-		return err
-	case <-ctx.Done():
+	raw, err := os.Open(o.shardSpec)
+	if err != nil {
+		return fmt.Errorf("-shard-cluster: %w", err)
 	}
-
-	logger.Printf("signal received, draining (budget %v)", drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	// The listener must be fully down before the shards stop: an
-	// admission enqueued on a stopped shard worker would be lost.
-	err := httpSrv.Shutdown(shutdownCtx)
-	if cerr := srv.Close(); err == nil {
-		err = cerr
+	defer raw.Close()
+	var cs spec.ClusterSpec
+	if err := spec.DecodeStrict(raw, &cs); err != nil {
+		return fmt.Errorf("-shard-cluster %s: %w", o.shardSpec, err)
 	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("shutdown: %w", err)
+	cfg.ClusterSpecs = make([]spec.ClusterSpec, o.shards)
+	for k := range cfg.ClusterSpecs {
+		cfg.ClusterSpecs[k] = cs
 	}
-	logger.Printf("drained, exiting")
 	return nil
 }
 
@@ -367,21 +305,26 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// run serves until SIGINT/SIGTERM, then drains.
-func run(addr string, cfg server.Config, drain time.Duration, pprofAddr string) error {
-	logger := log.New(os.Stderr, "hmnd: ", log.LstdFlags)
-	cfg.Logf = logger.Printf
-	srv := server.New(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+// daemon is either front end: server.Server or server.FedServer.
+type daemon interface {
+	Handler() http.Handler
+	Recover() error
+	Close() error
+}
+
+// serve runs srv until SIGINT/SIGTERM, then drains: the listener first,
+// so in-flight handlers finish the work they queued or routed, then the
+// daemon (workers, rebalancers, final snapshot, WAL).
+func serve(o options, srv daemon, logger *log.Logger) error {
+	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var pprofSrv *http.Server
-	if pprofAddr != "" {
-		pprofSrv = &http.Server{Addr: pprofAddr, Handler: pprofHandler()}
+	if o.pprofAddr != "" {
+		pprofSrv := &http.Server{Addr: o.pprofAddr, Handler: pprofHandler()}
 		go func() {
-			logger.Printf("pprof listening on %s", pprofAddr)
+			logger.Printf("pprof listening on %s", o.pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("pprof server: %v", err)
 			}
@@ -391,23 +334,19 @@ func run(addr string, cfg server.Config, drain time.Duration, pprofAddr string) 
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%d queue=%d timeout=%v)",
-			addr, cfg.Workers, cfg.QueueDepth, cfg.RequestTimeout)
+		logger.Printf("listening on %s (shards=%d queue=%d timeout=%v)", o.addr, o.shards, o.queue, o.timeout)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
 	// Recover with the listener already up: /healthz answers 503
-	// "replaying" while the snapshot and log suffix are applied, and the
-	// /v1 API opens the moment Recover returns.
-	if cfg.DataDir != "" {
-		logger.Printf("recovering from %s", cfg.DataDir)
-		if err := srv.Recover(); err != nil {
-			httpSrv.Close()
-			srv.Close()
-			return fmt.Errorf("recover: %w", err)
-		}
-		logger.Printf("recovery complete, serving")
+	// "replaying" while the snapshots and log suffixes are applied, and
+	// the /v1 API opens the moment Recover returns.
+	if err := srv.Recover(); err != nil {
+		httpSrv.Close()
+		srv.Close()
+		return fmt.Errorf("recover: %w", err)
 	}
+	logger.Printf("recovery complete, serving")
 
 	select {
 	case err := <-errc:
@@ -416,13 +355,15 @@ func run(addr string, cfg server.Config, drain time.Duration, pprofAddr string) 
 	case <-ctx.Done():
 	}
 
-	logger.Printf("signal received, draining (budget %v)", drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	logger.Printf("signal received, draining (budget %v)", o.drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	// Stop the listener and wait for in-flight handlers first — they
-	// hold queued tasks — then drain the worker pool.
+	// The listener must be fully down before the daemon stops: a
+	// request queued on a stopped worker would be lost.
 	err := httpSrv.Shutdown(shutdownCtx)
-	srv.Close()
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("shutdown: %w", err)
 	}

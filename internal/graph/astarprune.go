@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 )
@@ -156,7 +155,7 @@ func (sc *AStarScratch) pop() *apState {
 
 // apLess orders states by descending bottleneck bandwidth; ties prefer
 // lower accumulated latency, then fewer hops, for deterministic results.
-// It is the single ordering shared by the typed heap and apHeap.
+// It is the typed heap's ordering.
 func apLess(a, b *apState) bool {
 	if a.bottleneck != b.bottleneck {
 		return a.bottleneck > b.bottleneck
@@ -260,81 +259,6 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 	return Path{}, false
 }
 
-// AStarPruneK generalises AStarPrune to the original formulation of Liu &
-// Ramakrishnan ("A*Prune: an algorithm for finding K shortest paths
-// subject to multiple constraints"): it returns up to k feasible
-// loop-free paths in descending bottleneck-bandwidth order (ties broken
-// by lower latency, then fewer hops). AStarPrune is exactly
-// AStarPruneK(..., 1). The candidate set is shared across the k
-// extractions, so the cost is one search, not k.
-//
-// Dominance pruning is forced off when k > 1: a dominated partial path
-// may still complete into one of the k best paths, so the optimisation is
-// only sound for the single-path query.
-func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, k int, opts *AStarPruneOptions) []Path {
-	if k <= 0 {
-		return nil
-	}
-	if opts == nil {
-		opts = &AStarPruneOptions{}
-	}
-	if origin == dest {
-		return []Path{TrivialPath(origin)}
-	}
-	ar := opts.AR
-	if ar == nil {
-		ar = DijkstraLatency(g, dest)
-	}
-	if ar[origin] > latency {
-		return nil
-	}
-
-	var dom []paretoSet
-	if k == 1 && !opts.DisableDominance {
-		dom = make([]paretoSet, g.NumNodes())
-	}
-
-	var found []Path
-	start := &apState{node: origin, edge: -1, bottleneck: math.Inf(1)}
-	pq := &apHeap{start}
-	expansions := 0
-	for pq.Len() > 0 && len(found) < k {
-		best := heap.Pop(pq).(*apState)
-		if best.node == dest {
-			found = append(found, best.path(g))
-			continue
-		}
-		expansions++
-		if opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
-			break
-		}
-		for _, eid := range g.Incident(best.node) {
-			e := g.Edge(eid)
-			h := e.Other(best.node)
-			if best.contains(h) {
-				continue
-			}
-			if residual(eid) < bandwidth {
-				continue
-			}
-			accLat := best.accLat + e.Latency
-			if accLat+ar[h] > latency {
-				continue
-			}
-			bn := best.bottleneck
-			if r := residual(eid); r < bn {
-				bn = r
-			}
-			next := &apState{node: h, edge: eid, parent: best, bottleneck: bn, accLat: accLat, hops: best.hops + 1}
-			if dom != nil && !dom[h].insert(bn, accLat, 0) {
-				continue
-			}
-			heap.Push(pq, next)
-		}
-	}
-	return found
-}
-
 // apState is one feasible partial path, stored as a parent-linked list so
 // that extending a path costs O(1) instead of copying node slices.
 type apState struct {
@@ -354,8 +278,6 @@ func (s *apState) contains(n NodeID) bool {
 	}
 	return false
 }
-
-func (s *apState) path(g *Graph) Path { return s.pathIn(g, nil) }
 
 // pathIn materialises the parent-linked partial path, carving the
 // backing arrays from arena when one is supplied.
@@ -377,23 +299,6 @@ func (s *apState) pathIn(g *Graph, arena *PathArena) Path {
 		i--
 	}
 	return Path{Nodes: nodes, Edges: edges}
-}
-
-// apHeap orders states with apLess through container/heap; kept for the
-// K-path search, whose candidate set outlives single extractions.
-type apHeap []*apState
-
-func (h apHeap) Len() int            { return len(h) }
-func (h apHeap) Less(i, j int) bool  { return apLess(h[i], h[j]) }
-func (h apHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *apHeap) Push(x interface{}) { *h = append(*h, x.(*apState)) }
-func (h *apHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
 }
 
 // paretoSet keeps the non-dominated (bottleneck, latency) pairs seen at a

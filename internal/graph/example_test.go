@@ -20,23 +20,6 @@ func ExampleAStarPrune() {
 	// true 2 10
 }
 
-// ExampleAStarPruneK lists every feasible diamond route in descending
-// bottleneck order.
-func ExampleAStarPruneK() {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 10, 1)
-	g.AddEdge(1, 3, 10, 1)
-	g.AddEdge(0, 2, 5, 1)
-	g.AddEdge(2, 3, 5, 1)
-
-	for _, p := range graph.AStarPruneK(g, 0, 3, 1, 10, g.NominalBandwidth(), 3, nil) {
-		fmt.Println(p.Bottleneck(g, g.NominalBandwidth()))
-	}
-	// Output:
-	// 10
-	// 5
-}
-
 // ExampleDijkstraLatency computes the ar[] admissibility table of
 // Algorithm 1.
 func ExampleDijkstraLatency() {

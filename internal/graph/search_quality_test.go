@@ -31,30 +31,3 @@ func TestQuickAStarDominatesDFSTreeOnBottleneck(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: AStarPruneK(k) returns a prefix-consistent result — asking
-// for more paths never changes the ones already returned.
-func TestQuickAStarPruneKPrefixStable(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomConnectedGraph(rng, 3+rng.Intn(6), rng.Intn(8))
-		a, b := NodeID(0), NodeID(g.NumNodes()-1)
-		demand := rng.Float64() * 3
-		budget := 2 + rng.Float64()*10
-		bw := g.NominalBandwidth()
-		small := AStarPruneK(g, a, b, demand, budget, bw, 2, nil)
-		big := AStarPruneK(g, a, b, demand, budget, bw, 4, nil)
-		if len(big) < len(small) {
-			return false
-		}
-		for i := range small {
-			if small[i].String() != big[i].String() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -249,21 +249,20 @@ func TestSchedulerRunOnceRebalancesSession(t *testing.T) {
 	}
 }
 
-func TestSchedulerPauseSuppressesRounds(t *testing.T) {
+// A scheduler built without a period is one-shot: Start launches no
+// loop and Stop has nothing to wait for, while RunOnce still plans.
+func TestSchedulerOneShot(t *testing.T) {
 	s, _ := sessionWithPile(t)
-	sched := New(s, time.Hour, 0, Hooks{})
-	sched.Pause()
-	if moved := sched.RunOnce(); moved != 0 {
-		t.Fatalf("paused scheduler moved %d guests", moved)
+	rounds := 0
+	sched := New(s, 0, 0, Hooks{OnRound: func(int, float64) { rounds++ }})
+	sched.Start()
+	time.Sleep(5 * time.Millisecond)
+	sched.Stop()
+	if rounds != 0 {
+		t.Fatalf("one-shot scheduler ran %d background rounds", rounds)
 	}
-	sched.Pause() // pauses nest
-	sched.Resume()
-	if moved := sched.RunOnce(); moved != 0 {
-		t.Fatalf("still-paused scheduler moved %d guests", moved)
-	}
-	sched.Resume()
 	if moved := sched.RunOnce(); moved == 0 {
-		t.Fatal("resumed scheduler planned nothing on an unbalanced session")
+		t.Fatal("one-shot RunOnce planned nothing on an unbalanced session")
 	}
 }
 

@@ -45,24 +45,25 @@ type Scheduler struct {
 	hooks     Hooks
 
 	mu      sync.Mutex
-	paused  int           //hmn:guardedby mu
 	running bool          //hmn:guardedby mu
 	stop    chan struct{} //hmn:guardedby mu
 	done    chan struct{} //hmn:guardedby mu
 }
 
 // New returns a stopped scheduler. interval is the period between
-// planning rounds; maxMoves caps guest-level moves per round (<= 0:
-// unbounded).
+// planning rounds; interval <= 0 builds a one-shot scheduler with no
+// background loop (Start is a no-op, RunOnce works as usual). maxMoves
+// caps guest-level moves per round (<= 0: unbounded).
 func New(c Committer, interval time.Duration, maxMoves int, hooks Hooks) *Scheduler {
 	return &Scheduler{committer: c, interval: interval, maxMoves: maxMoves, hooks: hooks}
 }
 
-// Start launches the background loop. It is a no-op if already running.
+// Start launches the background loop. It is a no-op if already running
+// or if the scheduler is one-shot.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.running {
+	if s.running || s.interval <= 0 {
 		return
 	}
 	s.running = true
@@ -84,25 +85,6 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 	close(stop)
 	<-done
-}
-
-// Pause suspends planning without stopping the loop; rounds firing while
-// paused do nothing. Pauses nest: every Pause needs a matching Resume.
-// hmnd pauses rebalancing during drain so shutdown races no in-flight
-// migrations.
-func (s *Scheduler) Pause() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.paused++
-}
-
-// Resume undoes one Pause.
-func (s *Scheduler) Resume() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.paused > 0 {
-		s.paused--
-	}
 }
 
 // loop is the background ticker. The scheduler deliberately ticks at a
@@ -128,13 +110,6 @@ func (s *Scheduler) loop(stop, done chan struct{}) {
 // rounds serialize through the session's own lock — and it is what the
 // one-shot POST /v1/sessions/{sid}/rebalance endpoint calls.
 func (s *Scheduler) RunOnce() int {
-	s.mu.Lock()
-	paused := s.paused > 0
-	s.mu.Unlock()
-	if paused {
-		return 0
-	}
-
 	start := time.Now() //hmn:wallclock
 	view := s.committer.PlanSnapshot()
 	units := Plan(view, s.maxMoves)

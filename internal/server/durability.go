@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -23,8 +22,8 @@ import (
 //   - Recover rebuilds the session table from the latest snapshot plus
 //     the log suffix before the daemon starts serving; the /v1 API
 //     returns 503 "replaying" until it finishes;
-//   - a background loop (and graceful shutdown, after the queue drains)
-//     takes full-state snapshots that truncate the log.
+//   - the WAL's periodic snapshot loop (and graceful shutdown, after the
+//     queue drains) takes full-state snapshots that truncate the log.
 
 // logf reports durability housekeeping through the configured logger.
 func (s *Server) logf(format string, args ...interface{}) {
@@ -84,7 +83,11 @@ func (s *Server) appendClose(sid string) {
 // before serving: the incremental objective must match a two-pass
 // recompute within 1e-9 and the environment registry must agree with
 // the session's active count.
-func (s *Server) Recover() error {
+//
+// A failed recovery closes the log again without a snapshot, so the
+// directory stays as it was: Close must not export half-installed state
+// over the records it came from.
+func (s *Server) Recover() (err error) {
 	if s.cfg.DataDir == "" {
 		return nil
 	}
@@ -98,6 +101,12 @@ func (s *Server) Recover() error {
 		return err
 	}
 	s.wal = w
+	defer func() {
+		if err != nil {
+			s.wal = nil
+			w.Close()
+		}
+	}()
 	if recovered.TruncatedBytes > 0 {
 		s.logf("hmnd: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", recovered.TruncatedBytes)
 	}
@@ -112,6 +121,7 @@ func (s *Server) Recover() error {
 	// final active set — tags are hmnd's environment IDs, and they
 	// survive snapshots, admissions and repairs.
 	totalEnvs := 0
+	installed := make([]*session, 0, len(rb.Sessions))
 	for _, rs := range rb.Sessions {
 		rs.Core.SetRouteWorkers(s.cfg.RouteWorkers)
 		sess := s.newSession(rs.SID, rs.Core, rs.Cluster, rs.Mapper, rs.Overhead)
@@ -130,7 +140,7 @@ func (s *Server) Recover() error {
 		}
 		for _, a := range sess.core.Export().Active {
 			if a.Tag != "" {
-				sess.envs[a.Tag] = &envRecord{env: a.M.Env, m: a.M}
+				sess.envs[a.Tag] = struct{}{}
 				bump(a.Tag)
 			}
 		}
@@ -146,9 +156,7 @@ func (s *Server) Recover() error {
 		s.mu.Lock()
 		s.sessions[rs.SID] = sess
 		s.mu.Unlock()
-		// The session is fully replayed and durable; the background loop
-		// (if configured) may migrate its guests from here on.
-		s.startRebalance(sess)
+		installed = append(installed, sess)
 	}
 	// Never reuse an ID the directory named — snapshotted, opened or
 	// closed.
@@ -164,11 +172,16 @@ func (s *Server) Recover() error {
 	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
 		len(rb.Sessions), totalEnvs, rb.Replayed)
 
-	if s.cfg.SnapshotInterval > 0 {
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop(s.cfg.SnapshotInterval)
+	// Every session is fully replayed and durable; the background loops
+	// (if configured) may migrate guests from here on.
+	for _, sess := range installed {
+		sess.rebal.Start()
 	}
+	s.stopSnapshots = wal.SnapshotEvery(s.cfg.SnapshotInterval, func() {
+		if err := s.writeSnapshot(); err != nil {
+			s.logf("hmnd: periodic snapshot: %v", err)
+		}
+	})
 	s.replaying.Store(false)
 	return nil
 }
@@ -202,7 +215,7 @@ func (s *Server) newSession(sid string, cs *core.Session, clusterSpec spec.Clust
 		stddev: s.reg.Gauge(
 			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sid),
 			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]*envRecord),
+		envs: make(map[string]struct{}),
 	}
 }
 
@@ -242,21 +255,4 @@ func (s *Server) writeSnapshot() error {
 		return nil
 	}
 	return s.wal.WriteSnapshot(s.exportAll)
-}
-
-// snapshotLoop snapshots on a fixed cadence until Close stops it.
-func (s *Server) snapshotLoop(interval time.Duration) {
-	defer close(s.snapDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := s.writeSnapshot(); err != nil {
-				s.logf("hmnd: periodic snapshot: %v", err)
-			}
-		case <-s.snapStop:
-			return
-		}
-	}
 }

@@ -2,76 +2,27 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
-// FedConfig parameterizes the federation daemon: N independent shards
-// behind one routed HTTP front end (hmnd -shards N).
-type FedConfig struct {
-	// ClusterSpecs holds one physical cluster per shard. Ignored when
-	// DataDir already holds federation state (recovery rebuilds the
-	// clusters from the per-shard WALs).
-	ClusterSpecs []spec.ClusterSpec
-	// Mapper is the wire name applied to every shard ("" = HMN);
-	// Overhead the per-host VMM overhead.
-	Mapper   string
-	Overhead cluster.VMMOverhead
-	// GatewayBW is the inter-shard gateway budget in Mbps (0 disables
-	// split admissions).
-	GatewayBW float64
-	// DataDir, SnapshotInterval and VerifyReplay mirror Config.
-	DataDir          string
-	SnapshotInterval time.Duration
-	VerifyReplay     bool
-	// RebalanceInterval / RebalanceMaxMoves run each shard's background
-	// rebalancer, as in Config.
-	RebalanceInterval time.Duration
-	RebalanceMaxMoves int
-	// RouteWorkers is the parallel Networking stage width per shard.
-	RouteWorkers int
-	// RequestTimeout bounds each request; MaxBodyBytes each body.
-	RequestTimeout time.Duration
-	MaxBodyBytes   int64
-	// QueueDepth bounds each shard's operation queue.
-	QueueDepth int
-	// Logf receives housekeeping; nil discards.
-	Logf func(format string, args ...interface{})
-}
-
-func (c FedConfig) withDefaults() FedConfig {
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	return c
-}
-
 // FedServer serves a shard.Federation over the hmnd wire API: tenant
 // sessions open and close, environments admit and release through the
 // router, and the per-shard control endpoints (fail, restore,
-// rebalance, residuals) address one lock domain each.
+// rebalance, residuals) address one lock domain each. It shares Server's
+// front end; an operation runs on its shard's worker instead of a queue.
 type FedServer struct {
-	cfg FedConfig
-	reg *metrics.Registry
-	mux *http.ServeMux
+	frontEnd
 	fed *shard.Federation
-
-	replaying atomic.Bool
 
 	mAdmitLatency *metrics.Histogram
 	mWALRecords   *metrics.Counter
@@ -80,16 +31,12 @@ type FedServer struct {
 	mSnapshot     *metrics.Histogram
 }
 
-// NewFederation builds the federation server. With a DataDir the /v1
-// API answers 503 until Recover runs; without one the server is
-// serving immediately (Recover is then a no-op).
+// NewFederation builds the federation server. The /v1 API answers 503
+// until Recover builds (or rebuilds) the federation.
 func NewFederation(cfg FedConfig) *FedServer {
-	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
 	s := &FedServer{
-		cfg: cfg,
-		reg: reg,
-		mux: http.NewServeMux(),
+		frontEnd: newFrontEnd(cfg, reg),
 		mAdmitLatency: reg.Histogram("hmnd_shard_admit_latency_seconds",
 			"Wall time of routed environment admissions (routing plus shard commit).", nil),
 		mWALRecords: reg.Counter("hmnd_shard_wal_records_total",
@@ -103,20 +50,13 @@ func NewFederation(cfg FedConfig) *FedServer {
 	}
 	s.replaying.Store(true)
 
+	s.domain, s.envID = s.lookupShard, shard.EnvID
 	s.mux.HandleFunc("POST /v1/sessions", s.handleOpenTenant)
 	s.mux.HandleFunc("DELETE /v1/sessions/{sid}", s.handleCloseTenant)
 	s.mux.HandleFunc("POST /v1/sessions/{sid}/envs", s.handleAdmit)
 	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleRelease)
 	s.mux.HandleFunc("GET /v1/shards", s.handleShards)
-	s.mux.HandleFunc("GET /v1/shards/{k}/residuals", s.handleShardResiduals)
-	s.mux.HandleFunc("POST /v1/shards/{k}/hosts/{node}/fail", s.handleShardFailHost)
-	s.mux.HandleFunc("POST /v1/shards/{k}/hosts/{node}/restore", s.handleShardRestoreHost)
-	s.mux.HandleFunc("POST /v1/shards/{k}/links/{edge}/fail", s.handleShardFailLink)
-	s.mux.HandleFunc("POST /v1/shards/{k}/links/{edge}/restore", s.handleShardRestoreLink)
-	s.mux.HandleFunc("POST /v1/shards/{k}/rebalance", s.handleShardRebalance)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.Handle("GET /metrics", reg.Handler())
+	s.route("/v1/shards/{k}")
 	return s
 }
 
@@ -206,73 +146,18 @@ func (s *FedServer) registerFedMetrics() {
 	}
 }
 
-// Registry exposes the server's metrics registry.
-func (s *FedServer) Registry() *metrics.Registry { return s.reg }
-
 // Federation exposes the underlying federation (for tests).
 func (s *FedServer) Federation() *shard.Federation { return s.fed }
-
-// Handler returns the routed HTTP handler with the request timeout
-// applied; /v1 answers 503 until Recover completes.
-func (s *FedServer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.replaying.Load() && r.URL.Path != "/healthz" && r.URL.Path != "/v1/healthz" && r.URL.Path != "/metrics" {
-			writeUnavailable(w, "replaying")
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		s.mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
 
 // Close stops the federation: workers drained, rebalancers stopped,
 // final snapshots taken, WALs closed. Call after the HTTP listener has
 // shut down so no admission is in flight.
 func (s *FedServer) Close() error {
+	s.draining.Store(true)
 	if s.fed == nil {
 		return nil
 	}
 	return s.fed.Close()
-}
-
-// fedStatus maps a federation-layer error onto an HTTP status. Shard
-// sentinels are decided here; everything else (the wrapped core
-// sentinels included) routes through the package's one sentinel table.
-func fedStatus(err error) (code int, msg string, ok bool) {
-	switch {
-	case err == nil:
-		return 0, "", true
-	case errors.Is(err, shard.ErrUnknownTenant), errors.Is(err, shard.ErrUnknownEnv),
-		errors.Is(err, shard.ErrBadShard):
-		return http.StatusNotFound, err.Error(), false
-	case errors.Is(err, shard.ErrNoShardFits), errors.Is(err, shard.ErrGatewayExhausted):
-		// Infeasible against current federation state, not bad syntax.
-		return http.StatusConflict, err.Error(), false
-	case errors.Is(err, shard.ErrClosed):
-		return http.StatusServiceUnavailable, err.Error(), false
-	default:
-		return failureStatus(nil, err)
-	}
-}
-
-func writeFedError(w http.ResponseWriter, err error) {
-	code, msg, _ := fedStatus(err)
-	if code == http.StatusServiceUnavailable {
-		writeUnavailable(w, msg)
-		return
-	}
-	writeError(w, code, msg)
-}
-
-func (s *FedServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.replaying.Load() {
-		writeError(w, http.StatusServiceUnavailable, "replaying")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "serving")
 }
 
 // OpenTenantResponse identifies an opened federation tenant session.
@@ -286,7 +171,7 @@ func (s *FedServer) handleOpenTenant(w http.ResponseWriter, _ *http.Request) {
 	// were fixed at startup — so the request body is empty.
 	sid, err := s.fed.OpenTenant()
 	if err != nil {
-		writeFedError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, OpenTenantResponse{ID: sid, Shards: s.fed.Shards()})
@@ -294,7 +179,7 @@ func (s *FedServer) handleOpenTenant(w http.ResponseWriter, _ *http.Request) {
 
 func (s *FedServer) handleCloseTenant(w http.ResponseWriter, r *http.Request) {
 	if err := s.fed.CloseTenant(r.PathValue("sid")); err != nil {
-		writeFedError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -333,7 +218,7 @@ func (s *FedServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	eid, pl, err := s.fed.Admit(r.PathValue("sid"), env)
 	s.mAdmitLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
-		writeFedError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	resp := FedMapEnvResponse{ID: eid, CutBW: pl.CutBW, Split: pl.Split, Fallback: pl.Fallback}
@@ -349,7 +234,7 @@ func (s *FedServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *FedServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if err := s.fed.Release(r.PathValue("sid"), r.PathValue("eid")); err != nil {
-		writeFedError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -397,116 +282,49 @@ func (s *FedServer) handleShards(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// lookupShard resolves {k} or writes the error response.
-func (s *FedServer) lookupShard(w http.ResponseWriter, r *http.Request) (int, bool) {
+// shardDomain is one shard as the shared per-domain endpoints see it:
+// every operation runs on the shard's worker, through the federation,
+// which keeps its registry, router and gateway in step.
+type shardDomain struct {
+	s *FedServer
+	k int
+}
+
+// lookupShard resolves {k} for the shared endpoints.
+func (s *FedServer) lookupShard(w http.ResponseWriter, r *http.Request) (domain, bool) {
 	k, err := strconv.Atoi(r.PathValue("k"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad shard %q", r.PathValue("k")))
-		return 0, false
+		return nil, false
 	}
 	if _, err := s.fed.Shard(k); err != nil {
-		writeFedError(w, err)
-		return 0, false
+		writeFailure(w, err)
+		return nil, false
 	}
-	return k, true
+	return shardDomain{s: s, k: k}, true
 }
 
-func (s *FedServer) handleShardResiduals(w http.ResponseWriter, r *http.Request) {
-	k, ok := s.lookupShard(w, r)
-	if !ok {
-		return
-	}
-	sh, _ := s.fed.Shard(k)
-	res := sh.Session().ResidualProc()
-	writeJSON(w, http.StatusOK, ResidualsResponse{
-		ResidualProcMIPS: res,
-		StdDev:           mapping.Objective(res),
-		ActiveEnvs:       sh.Session().Active(),
-	})
+func (d shardDomain) session() *core.Session {
+	sh, _ := d.s.fed.Shard(d.k)
+	return sh.Session()
 }
 
-func (s *FedServer) handleShardFailHost(w http.ResponseWriter, r *http.Request) {
-	s.handleShardFail(w, r, "host", "node")
-}
+func (d shardDomain) overhead() cluster.VMMOverhead { return d.s.cfg.Overhead }
 
-func (s *FedServer) handleShardFailLink(w http.ResponseWriter, r *http.Request) {
-	s.handleShardFail(w, r, "link", "edge")
-}
-
-func (s *FedServer) handleShardFail(w http.ResponseWriter, r *http.Request, kind, pathKey string) {
-	k, ok := s.lookupShard(w, r)
-	if !ok {
-		return
-	}
-	target, err := strconv.Atoi(r.PathValue(pathKey))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", pathKey, r.PathValue(pathKey)))
-		return
-	}
-	var results []core.RepairResult
+func (d shardDomain) fail(_ context.Context, kind string, target int) ([]core.RepairResult, error) {
 	if kind == "host" {
-		results, err = s.fed.FailHost(k, graph.NodeID(target))
-	} else {
-		results, err = s.fed.FailLink(k, target)
+		return d.s.fed.FailHost(d.k, graph.NodeID(target))
 	}
-	if err != nil {
-		writeFedError(w, err)
-		return
-	}
-	resp := FailTargetResponse{Kind: kind, Target: target, Evicted: len(results)}
-	for _, res := range results {
-		rep := RepairReport{Outcome: res.Outcome.String()}
-		if res.Err != nil {
-			rep.Error = res.Err.Error()
-		}
-		if res.New != nil {
-			ms := spec.FromMapping(res.New, s.cfg.Overhead)
-			rep.Mapping = &ms
-		}
-		resp.Results = append(resp.Results, rep)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return d.s.fed.FailLink(d.k, target)
 }
 
-func (s *FedServer) handleShardRestoreHost(w http.ResponseWriter, r *http.Request) {
-	s.handleShardRestore(w, r, "host", "node")
-}
-
-func (s *FedServer) handleShardRestoreLink(w http.ResponseWriter, r *http.Request) {
-	s.handleShardRestore(w, r, "link", "edge")
-}
-
-func (s *FedServer) handleShardRestore(w http.ResponseWriter, r *http.Request, kind, pathKey string) {
-	k, ok := s.lookupShard(w, r)
-	if !ok {
-		return
-	}
-	target, err := strconv.Atoi(r.PathValue(pathKey))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", pathKey, r.PathValue(pathKey)))
-		return
-	}
+func (d shardDomain) restore(_ context.Context, kind string, target int) error {
 	if kind == "host" {
-		err = s.fed.RestoreHost(k, graph.NodeID(target))
-	} else {
-		err = s.fed.RestoreLink(k, target)
+		return d.s.fed.RestoreHost(d.k, graph.NodeID(target))
 	}
-	if err != nil {
-		writeFedError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	return d.s.fed.RestoreLink(d.k, target)
 }
 
-func (s *FedServer) handleShardRebalance(w http.ResponseWriter, r *http.Request) {
-	k, ok := s.lookupShard(w, r)
-	if !ok {
-		return
-	}
-	moves, before, after, err := s.fed.RebalanceOnce(k)
-	if err != nil {
-		writeFedError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RebalanceResponse{Moves: moves, StdDevBefore: before, StdDevAfter: after})
+func (d shardDomain) rebalance(context.Context) (int, float64, float64, error) {
+	return d.s.fed.RebalanceOnce(d.k)
 }

@@ -141,8 +141,8 @@ func TestFederationHTTPRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &failed); err != nil {
 		t.Fatal(err)
 	}
-	if failed.Evicted != 1 {
-		t.Fatalf("fail response: %+v", failed)
+	if failed.Evicted != 1 || failed.Results[0].Env != admitted.ID {
+		t.Fatalf("fail response: %+v (want env %s)", failed, admitted.ID)
 	}
 	code, raw, _ = doJSON(t, client, "POST",
 		ts.URL+"/v1/shards/"+strconv.Itoa(home)+"/hosts/"+strconv.Itoa(node)+"/restore", nil)

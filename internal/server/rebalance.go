@@ -1,9 +1,6 @@
 package server
 
 import (
-	"net/http"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/rebalance"
@@ -16,25 +13,23 @@ import (
 //     snapshots the session, plans improving moves off the live
 //     residuals and commits them through the optimistic migrate funnel
 //     — admissions keep flowing, a plan that loses its validation race
-//     is simply dropped;
+//     is simply dropped; without it the scheduler is one-shot;
 //   - POST /v1/sessions/{sid}/rebalance runs one round on demand,
 //     whether or not the background loop is enabled;
 //   - every committed plan reaches the WAL through the session's commit
 //     hook like any other operation, and the scheduler's after-round
 //     barrier makes it durable before the round is considered done;
+//   - a migration swaps the mappings of the environments it touches
+//     inside core, under their tags, so the server's environment
+//     registry (IDs, which are the tags) never needs to follow it;
 //   - Close stops every scheduler before the final snapshot, so
 //     shutdown never races an in-flight migration.
 
 // attachRebalance gives sess its scheduler (stopped). Called before the
-// session is published, so handlers never see a nil scheduler.
+// session is published, so handlers never see a nil scheduler; the
+// loop starts once the session is durable.
 func (s *Server) attachRebalance(sess *session) {
-	interval := s.cfg.RebalanceInterval
-	if interval <= 0 {
-		// The loop is disabled; the interval only parameterizes a ticker
-		// that will never start, but New insists on a positive period.
-		interval = time.Hour
-	}
-	sess.rebal = rebalance.New(sess.core, interval, s.cfg.RebalanceMaxMoves, rebalance.Hooks{
+	sess.rebal = rebalance.New(sess.core, s.cfg.RebalanceInterval, s.cfg.RebalanceMaxMoves, rebalance.Hooks{
 		OnRound: func(units int, elapsed float64) {
 			s.mRebalRounds.Inc()
 			s.mRebalPlanned.Add(uint64(units))
@@ -49,32 +44,11 @@ func (s *Server) attachRebalance(sess *session) {
 			if d := res.ObjectiveBefore - res.ObjectiveAfter; d > 0 {
 				s.mRebalImprovement.Add(d)
 			}
-			// A migrate replaces the touched environments' mappings in
-			// core; the registry must follow, or a later release/repair
-			// would release stale reservations. Tags are the registry keys.
-			sess.mu.Lock()
-			for _, e := range res.Envs {
-				if rec := sess.envs[e.Tag]; rec != nil {
-					rec.m = e.New
-				}
-			}
-			sess.mu.Unlock()
 			sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
 		},
 		AfterRound: s.ackBarrier,
 		Logf:       s.logf,
 	})
-}
-
-// startRebalance launches the session's background loop when the daemon
-// is configured for continuous rebalancing. Called once the session is
-// durable (after the open record's barrier, or after recovery installed
-// it) so the loop never migrates guests of a session a crash would
-// un-create.
-func (s *Server) startRebalance(sess *session) {
-	if s.cfg.RebalanceInterval > 0 {
-		sess.rebal.Start()
-	}
 }
 
 // stopRebalancers stops every session's scheduler and waits each one
@@ -88,40 +62,6 @@ func (s *Server) stopRebalancers() {
 	}
 	s.mu.Unlock()
 	for _, sess := range sessions {
-		if sess.rebal != nil {
-			sess.rebal.Stop()
-		}
+		sess.rebal.Stop()
 	}
-}
-
-// handleRebalance runs one synchronous rebalancing round — the one-shot
-// counterpart of the background loop, for operators and tests that want
-// a round exactly now (e.g. right after a burst of releases).
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	s.admitMu.RLock()
-	draining := s.draining
-	s.admitMu.RUnlock()
-	if draining {
-		writeUnavailable(w, errDraining.Error())
-		return
-	}
-	before := sess.core.ObjectiveStdDev()
-	moved := sess.rebal.RunOnce()
-	after := sess.core.ObjectiveStdDev()
-	// RunOnce already ran the after-round barrier if it committed
-	// anything; this one covers the moved == 0 path for free and keeps
-	// the handler's ack-after-log shape uniform.
-	if err := s.ackBarrier(); err != nil {
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, RebalanceResponse{
-		Moves:        moved,
-		StdDevBefore: before,
-		StdDevAfter:  after,
-	})
 }

@@ -18,6 +18,9 @@
 //     successes, failures, rejections per mapper, map latency
 //     histogram, queue depth, active sessions/environments, per-session
 //     residual-CPU stddev) and serves the text exposition on /metrics.
+//   - The HTTP front end (frontend.go) is shared with FedServer, the
+//     sharded daemon: one configuration, readiness gate, healthz, set of
+//     per-domain endpoints and sentinel→status table serve both.
 //
 // Endpoints:
 //
@@ -51,9 +54,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -67,82 +68,6 @@ import (
 	"repro/internal/virtual"
 	"repro/internal/wal"
 )
-
-// Config sizes the daemon. The zero value gets sensible defaults.
-type Config struct {
-	// Workers is the size of the pool draining the admission queue;
-	// defaults to GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds the admission queue; a full queue rejects with
-	// 503. Defaults to 64.
-	QueueDepth int
-	// BatchSize lets a worker drain up to this many queued map requests
-	// for the same session in one wakeup and admit them as one
-	// core.Session.MapBatch round: one snapshot, concurrent off-lock
-	// mapping, one locked commit pass. 1 (and 0) disables batching;
-	// per-request admission outcomes are unchanged either way.
-	BatchSize int
-	// RequestTimeout bounds each request end to end (queue wait
-	// included). Defaults to 30s.
-	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies. Defaults to 32 MiB.
-	MaxBodyBytes int64
-	// DataDir enables durability: every mutating operation is logged to
-	// a write-ahead log under this directory before its response is
-	// acknowledged, and Recover rebuilds state from it on startup.
-	// Empty disables durability (state dies with the process).
-	DataDir string
-	// SnapshotInterval is the cadence of periodic full-state snapshots
-	// (which truncate the log). 0 snapshots only on graceful shutdown.
-	// Ignored without DataDir.
-	SnapshotInterval time.Duration
-	// VerifyReplay makes Recover cross-check every recovered session
-	// (incremental objective vs recompute, environment registry vs
-	// active set) before the daemon serves.
-	VerifyReplay bool
-	// RebalanceInterval enables the background rebalancer: every open
-	// session gets a scheduler that periodically plans improving guest
-	// migrations off the live residuals and commits them through the
-	// optimistic migrate funnel. 0 disables the loop; the one-shot
-	// POST /v1/sessions/{sid}/rebalance endpoint works either way.
-	RebalanceInterval time.Duration
-	// RebalanceMaxMoves caps guest moves per rebalancing round (a
-	// destination swap counts as two). <= 0 means unbounded: a round
-	// plans until no move improves the objective.
-	RebalanceMaxMoves int
-	// RouteWorkers is the parallel Networking stage's worker count,
-	// applied to every session's mapper (opened or recovered). <= 1
-	// routes serially. Mapping output is bit-identical either way.
-	RouteWorkers int
-	// Logf receives durability warnings and recovery progress; nil
-	// discards them.
-	Logf func(format string, args ...interface{})
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	return c
-}
-
-// errOverloaded rejects a request when the admission queue is full.
-var errOverloaded = errors.New("server: admission queue full")
-
-// errDraining rejects mutating work during shutdown.
-var errDraining = errors.New("server: draining")
 
 // task is one unit of queued work. run executes on a worker; the
 // submitter waits on done (or its context). Map-environment tasks also
@@ -176,12 +101,6 @@ type mapJob struct {
 	cancel func(err error)
 }
 
-// envRecord is one deployed environment inside a session.
-type envRecord struct {
-	env *virtual.Env
-	m   *mapping.Mapping
-}
-
 // session is a named core.Session plus the server-side bookkeeping.
 type session struct {
 	id         string
@@ -198,23 +117,25 @@ type session struct {
 	// its state.
 	rebal *rebalance.Scheduler
 
+	// envs holds the IDs of the deployed environments. An ID is the
+	// environment's admission tag in core, which resolves its current
+	// mapping whatever a migration or repair swapped in.
 	mu      sync.Mutex
-	envs    map[string]*envRecord //hmn:guardedby mu
-	nextEnv int                   //hmn:guardedby mu
-	closed  bool                  //hmn:guardedby mu
+	envs    map[string]struct{} //hmn:guardedby mu
+	nextEnv int                 //hmn:guardedby mu
+	closed  bool                //hmn:guardedby mu
 }
 
 // Server is the hmnd daemon: session store, admission queue, worker
 // pool and metrics. Create with New, serve Handler(), stop with Close.
 type Server struct {
-	cfg Config
-	reg *metrics.Registry
-	mux *http.ServeMux
+	frontEnd
 
-	admitMu  sync.RWMutex // excludes submit vs Close's queue close
-	draining bool         //hmn:guardedby admitMu
-	queue    chan *task
-	wg       sync.WaitGroup
+	// admitMu excludes submit against Close's queue close: Close flips
+	// draining under the write lock, enqueue reads it under the read lock.
+	admitMu sync.RWMutex
+	queue   chan *task
+	wg      sync.WaitGroup
 
 	mu          sync.Mutex
 	sessions    map[string]*session //hmn:guardedby mu
@@ -222,14 +143,12 @@ type Server struct {
 
 	// wal is the write-ahead log; nil without Config.DataDir. It is set
 	// by Recover before replaying flips to false, and the /v1 readiness
-	// gate keeps every handler out until then. snapStop and snapDone
-	// follow the same publication rule: written once by Recover before
-	// the replaying flip, then only ever closed/received by Close after
-	// the drain, so neither needs mu.
-	wal       *wal.WAL
-	replaying atomic.Bool
-	snapStop  chan struct{}
-	snapDone  chan struct{}
+	// gate keeps every handler out until then. stopSnapshots follows the
+	// same publication rule: written once by Recover before the
+	// replaying flip, then only ever called by Close after the drain, so
+	// neither needs mu.
+	wal           *wal.WAL
+	stopSnapshots func()
 
 	mLatency       *metrics.Histogram
 	mRepairLatency *metrics.Histogram
@@ -258,14 +177,21 @@ type Server struct {
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 64
+	}
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = 1
+	}
 	reg := metrics.NewRegistry()
 	s := &Server{
-		cfg:      cfg,
-		reg:      reg,
-		mux:      http.NewServeMux(),
-		queue:    make(chan *task, cfg.QueueDepth),
-		sessions: make(map[string]*session),
+		frontEnd:      newFrontEnd(cfg, reg),
+		queue:         make(chan *task, cfg.QueueDepth),
+		sessions:      make(map[string]*session),
+		stopSnapshots: func() {},
 		mLatency: reg.Histogram("hmnd_map_latency_seconds",
 			"Wall time of environment map attempts.", nil),
 		mRepairLatency: reg.Histogram("hmnd_repair_latency_seconds",
@@ -313,19 +239,13 @@ func New(cfg Config) *Server {
 	// API answers 503 until Recover installs the recovered sessions.
 	s.replaying.Store(cfg.DataDir != "")
 
+	// Environment IDs are the admission tags themselves.
+	s.domain, s.envID = s.lookupDomain, func(tag string) string { return tag }
 	s.mux.HandleFunc("POST /v1/sessions", s.handleOpenSession)
 	s.mux.HandleFunc("DELETE /v1/sessions/{sid}", s.handleCloseSession)
 	s.mux.HandleFunc("POST /v1/sessions/{sid}/envs", s.handleMapEnv)
 	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleReleaseEnv)
-	s.mux.HandleFunc("GET /v1/sessions/{sid}/residuals", s.handleResiduals)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/hosts/{node}/fail", s.handleFailHost)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/hosts/{node}/restore", s.handleRestoreHost)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/links/{edge}/fail", s.handleFailLink)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/links/{edge}/restore", s.handleRestoreLink)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/rebalance", s.handleRebalance)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.Handle("GET /metrics", s.reg.Handler())
+	s.route("/v1/sessions/{sid}")
 
 	// Degradation gauges are computed at scrape time from the live
 	// sessions, so they can never drift from the ledgers they describe.
@@ -355,28 +275,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry exposes the server's metrics registry (for tests and for
-// embedding hmnd into a larger process).
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// Handler returns the daemon's HTTP handler with the per-request
-// timeout applied. While recovery is replaying the log, every /v1 API
-// request is refused with 503 — only /healthz (which reports
-// "replaying") and /metrics answer, so a load balancer can watch the
-// daemon come up without routing traffic at half-rebuilt state.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.replaying.Load() && r.URL.Path != "/healthz" && r.URL.Path != "/v1/healthz" && r.URL.Path != "/metrics" {
-			writeUnavailable(w, "replaying")
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		s.mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
 // Close drains the daemon: new mutating work is refused with 503, every
 // task already admitted runs to completion, and the worker pool exits.
 // With durability enabled, the queue is drained FIRST and a final
@@ -384,34 +282,35 @@ func (s *Server) Handler() http.Handler {
 // that committed during the drain are captured, not lost — and the WAL
 // is sealed. Safe to call more than once. Callers shutting down an
 // http.Server should call its Shutdown first so in-flight handlers
-// finish waiting on their queued tasks.
-func (s *Server) Close() {
+// finish waiting on their queued tasks. The error is the final
+// snapshot's or the log's; later calls return nil.
+func (s *Server) Close() error {
 	s.admitMu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.admitMu.Unlock()
 		s.wg.Wait()
-		return
+		return nil
 	}
-	s.draining = true
+	s.draining.Store(true)
 	close(s.queue)
 	s.admitMu.Unlock()
-	// Rebalancing pauses for good during drain: stop every scheduler
+	// Rebalancing stops for good during drain: stop every scheduler
 	// (waiting out in-flight rounds) before the queue empties and the
 	// final snapshot exports state.
 	s.stopRebalancers()
 	s.wg.Wait()
-	if s.wal != nil {
-		if s.snapStop != nil {
-			close(s.snapStop)
-			<-s.snapDone
-		}
-		if err := s.writeSnapshot(); err != nil {
-			s.logf("hmnd: shutdown snapshot: %v", err)
-		}
-		if err := s.wal.Close(); err != nil {
-			s.logf("hmnd: wal close: %v", err)
-		}
+	if s.wal == nil {
+		return nil
 	}
+	s.stopSnapshots()
+	err := s.writeSnapshot()
+	if err != nil {
+		err = fmt.Errorf("shutdown snapshot: %w", err)
+	}
+	if cerr := s.wal.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("wal close: %w", cerr)
+	}
+	return err
 }
 
 // worker drains the admission queue until Close. With BatchSize > 1, a
@@ -522,7 +421,7 @@ func (s *Server) submitMap(mj *mapJob, run func()) error {
 
 func (s *Server) enqueue(t *task) error {
 	s.admitMu.RLock()
-	if s.draining {
+	if s.draining.Load() {
 		s.admitMu.RUnlock()
 		return errDraining
 	}
@@ -542,26 +441,37 @@ func (s *Server) enqueue(t *task) error {
 	}
 }
 
-// --- handlers ---
-
-// handleHealthz reports readiness: 503 "replaying" while recovery
-// rebuilds state, 503 "draining" during shutdown, 200 "serving"
-// otherwise.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.replaying.Load() {
-		writeError(w, http.StatusServiceUnavailable, "replaying")
-		return
+// do queues fn on the admission queue and makes what it committed
+// durable. The error is ready for writeFailure.
+func (s *Server) do(ctx context.Context, fn func() error) error {
+	var opErr error
+	if err := s.submit(ctx, func() { opErr = fn() }); err != nil {
+		return queued(err)
 	}
-	s.admitMu.RLock()
-	draining := s.draining
-	s.admitMu.RUnlock()
-	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
+	if opErr != nil {
+		return opErr
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "serving")
+	return s.durable()
 }
+
+// queued classifies a submit error: no room (overloaded or draining)
+// as is, anything else as the request's timeout.
+func queued(err error) error {
+	if errors.Is(err, errOverloaded) || errors.Is(err, errDraining) {
+		return err
+	}
+	return queueTimeout{err}
+}
+
+// durable is ackBarrier with its failure ready for writeFailure.
+func (s *Server) durable() error {
+	if err := s.ackBarrier(); err != nil {
+		return barrierError{err}
+	}
+	return nil
+}
+
+// --- handlers ---
 
 func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	var req OpenSessionRequest
@@ -591,11 +501,8 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	}
 	cs.SetRouteWorkers(s.cfg.RouteWorkers)
 
-	s.admitMu.RLock()
-	draining := s.draining
-	s.admitMu.RUnlock()
-	if draining {
-		writeUnavailable(w, errDraining.Error())
+	if s.draining.Load() {
+		writeFailure(w, errDraining)
 		return
 	}
 
@@ -614,7 +521,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	s.mSessions.Inc()
 	sess.stddev.Set(mapping.Objective(cs.ResidualProc()))
 
-	if err := s.ackBarrier(); err != nil {
+	if err := s.durable(); err != nil {
 		// The open was never made durable, so the client was never told
 		// the session exists: tear it back down rather than leak a
 		// serving session a 500-retrying client will never address. The
@@ -629,10 +536,12 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		s.appendClose(id)
 		s.mSessions.Dec()
 		s.reg.Unregister(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id))
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
+		writeFailure(w, err)
 		return
 	}
-	s.startRebalance(sess)
+	// The session is durable; its background loop (if configured) may
+	// migrate guests from here on.
+	sess.rebal.Start()
 	writeJSON(w, http.StatusCreated, OpenSessionResponse{
 		ID:     id,
 		Mapper: mapperName,
@@ -728,7 +637,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 			mapErr = ctx.Err()
 			return
 		}
-		sess.envs[envID] = &envRecord{env: env, m: m}
+		sess.envs[envID] = struct{}{}
 		sess.mu.Unlock()
 
 		succeeded.Inc()
@@ -765,27 +674,18 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		}
 		mj.finish(m, err)
 	})
+	err = mapErr
 	switch {
-	case errors.Is(submitErr, errOverloaded), errors.Is(submitErr, errDraining):
-		rejected.Inc()
-		writeUnavailable(w, submitErr.Error())
-		return
-	case submitErr != nil: // context expired while queued or running
-		rejected.Inc()
-		writeUnavailable(w, "request timed out: "+submitErr.Error())
-		return
+	case submitErr != nil: // no room, or the context expired while queued or running
+		err = queued(submitErr)
+	case err == nil:
+		err = s.durable()
 	}
-	if mapErr != nil {
-		if errors.Is(mapErr, context.DeadlineExceeded) || errors.Is(mapErr, context.Canceled) {
+	if err != nil {
+		if code, _ := failureStatus(err); code == http.StatusServiceUnavailable {
 			rejected.Inc()
-			writeUnavailable(w, "request timed out")
-			return
 		}
-		writeError(w, http.StatusConflict, mapErr.Error())
-		return
-	}
-	if err := s.ackBarrier(); err != nil {
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -800,15 +700,14 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 	var relErr error
 	submitErr := s.submit(r.Context(), func() {
 		// Release by tag, and drop the registry entry only once core has
-		// let go: a rebalance commits its replacement mapping in core
-		// before its OnCommit hook updates rec.m, so releasing rec.m
-		// could miss and strand the environment. Core resolves the tag
-		// under its own lock; sess.mu is not held across that call, so a
-		// release waiting on a serialized admission blocks nothing else.
+		// let go. Core resolves the tag under its own lock, whatever
+		// mapping a migration or repair committed under it; sess.mu is
+		// not held across that call, so a release waiting on a serialized
+		// admission blocks nothing else.
 		sess.mu.Lock()
-		rec := sess.envs[envID]
+		_, ok := sess.envs[envID]
 		sess.mu.Unlock()
-		if rec == nil {
+		if !ok {
 			relErr = fmt.Errorf("no environment %q in session %s", envID, sess.id)
 			return
 		}
@@ -830,8 +729,8 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, relErr.Error())
 		return
 	}
-	if err := s.ackBarrier(); err != nil {
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
+	if err := s.durable(); err != nil {
+		writeFailure(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -850,13 +749,11 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	// Stop the rebalancer first: its commits would race the teardown's
 	// releases, and a migrate record after the close record would poison
 	// a later replay.
-	if sess.rebal != nil {
-		sess.rebal.Stop()
-	}
+	sess.rebal.Stop()
 	sess.mu.Lock()
 	sess.closed = true
 	envs := sess.envs
-	sess.envs = make(map[string]*envRecord)
+	sess.envs = make(map[string]struct{})
 	sess.mu.Unlock()
 	for eid := range envs {
 		if err := sess.core.ReleaseTag(eid); err == nil {
@@ -869,24 +766,11 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	s.appendClose(id)
 	s.mSessions.Dec()
 	s.reg.Unregister(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id))
-	if err := s.ackBarrier(); err != nil {
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
+	if err := s.durable(); err != nil {
+		writeFailure(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleResiduals(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	res := sess.core.ResidualProc()
-	writeJSON(w, http.StatusOK, ResidualsResponse{
-		ResidualProcMIPS: res,
-		StdDev:           mapping.Objective(res),
-		ActiveEnvs:       sess.core.Active(),
-	})
 }
 
 // sumSessions totals a per-session quantity across the open sessions.
@@ -911,193 +795,85 @@ func (s *Server) sumSessionsU64(f func(*core.Session) uint64) float64 {
 	return float64(total)
 }
 
-func (s *Server) handleFailHost(w http.ResponseWriter, r *http.Request) {
-	s.handleFail(w, r, "host", "node")
+// sessionDomain is one session as the shared per-domain endpoints see
+// it: every operation runs as a task on the admission queue.
+type sessionDomain struct {
+	s    *Server
+	sess *session
 }
 
-func (s *Server) handleFailLink(w http.ResponseWriter, r *http.Request) {
-	s.handleFail(w, r, "link", "edge")
-}
-
-// handleFail fails a host or link and runs the repair engine in one
-// atomic step, answering with the per-environment repair outcomes.
-func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, kind, pathKey string) {
+// lookupDomain resolves {sid} for the shared endpoints.
+func (s *Server) lookupDomain(w http.ResponseWriter, r *http.Request) (domain, bool) {
 	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	target, err := strconv.Atoi(r.PathValue(pathKey))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", pathKey, r.PathValue(pathKey)))
-		return
-	}
+	return sessionDomain{s: s, sess: sess}, sess != nil
+}
 
-	ctx := r.Context()
-	var (
-		resp    FailTargetResponse
-		failErr error
-	)
-	submitErr := s.submit(ctx, func() {
-		if ctx.Err() != nil {
-			failErr = ctx.Err()
-			return
+func (d sessionDomain) session() *core.Session        { return d.sess.core }
+func (d sessionDomain) overhead() cluster.VMMOverhead { return d.sess.overhead }
+
+// fail runs the atomic fail-and-repair and forgets the environments it
+// could not save; repaired and replaced ones keep their IDs, which are
+// their tags.
+func (d sessionDomain) fail(ctx context.Context, kind string, target int) ([]core.RepairResult, error) {
+	s, sess := d.s, d.sess
+	var results []core.RepairResult
+	err := s.do(ctx, func() error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		t0 := time.Now()
-		var results []core.RepairResult
+		var err error
 		if kind == "host" {
-			results, failErr = sess.core.FailHostAndRepair(graph.NodeID(target))
+			results, err = sess.core.FailHostAndRepair(graph.NodeID(target))
 		} else {
-			results, failErr = sess.core.FailLinkAndRepair(target)
+			results, err = sess.core.FailLinkAndRepair(target)
 		}
-		if failErr != nil {
-			return
+		if err != nil {
+			return err
 		}
 		s.mRepairLatency.Observe(time.Since(t0).Seconds())
 		s.evictionCounter(kind).Add(uint64(len(results)))
-
-		// Reconcile the session's environment records with the repair
-		// outcomes: repaired/replaced environments keep their IDs under
-		// the new mapping, unrecoverable ones are gone.
-		sess.mu.Lock()
-		idOf := make(map[*mapping.Mapping]string, len(sess.envs))
-		for eid, rec := range sess.envs {
-			idOf[rec.m] = eid
-		}
 		lost := 0
-		reports := make([]RepairReport, 0, len(results))
+		sess.mu.Lock()
 		for _, res := range results {
-			eid := idOf[res.Old]
-			rep := RepairReport{Env: eid, Outcome: res.Outcome.String()}
-			if res.Outcome == core.RepairUnrecoverable {
-				if res.Err != nil {
-					rep.Error = res.Err.Error()
-				}
-				delete(sess.envs, eid)
-				lost++
-			} else {
-				if rec := sess.envs[eid]; rec != nil {
-					rec.m = res.New
-				}
-				ms := spec.FromMapping(res.New, sess.overhead)
-				rep.Mapping = &ms
-			}
-			reports = append(reports, rep)
 			s.repairCounter(res.Outcome.String()).Inc()
+			if _, ok := sess.envs[res.Tag]; ok && res.Outcome == core.RepairUnrecoverable {
+				delete(sess.envs, res.Tag)
+				lost++
+			}
 		}
 		sess.mu.Unlock()
 		for i := 0; i < lost; i++ {
 			s.mEnvs.Dec()
 		}
 		sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
-		resp = FailTargetResponse{Kind: kind, Target: target, Evicted: len(results), Results: reports}
+		return nil
 	})
-	if code, msg, ok := failureStatus(submitErr, failErr); !ok {
-		if code == http.StatusServiceUnavailable {
-			writeUnavailable(w, msg)
-		} else {
-			writeError(w, code, msg)
-		}
-		return
-	}
-	if err := s.ackBarrier(); err != nil {
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return results, err
 }
 
-func (s *Server) handleRestoreHost(w http.ResponseWriter, r *http.Request) {
-	s.handleRestore(w, r, "host", "node")
-}
-
-func (s *Server) handleRestoreLink(w http.ResponseWriter, r *http.Request) {
-	s.handleRestore(w, r, "link", "edge")
-}
-
-// handleRestore readmits a failed host or cut link. Restoring a healthy
-// target is a 409: the operator almost certainly typed the wrong ID,
-// and a 200 would hide the still-failed one.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, kind, pathKey string) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	target, err := strconv.Atoi(r.PathValue(pathKey))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", pathKey, r.PathValue(pathKey)))
-		return
-	}
-	var restoreErr error
-	submitErr := s.submit(r.Context(), func() {
+func (d sessionDomain) restore(ctx context.Context, kind string, target int) error {
+	return d.s.do(ctx, func() error {
 		if kind == "host" {
-			restoreErr = sess.core.RestoreHost(graph.NodeID(target))
-		} else {
-			restoreErr = sess.core.RestoreLink(target)
+			return d.sess.core.RestoreHost(graph.NodeID(target))
 		}
+		return d.sess.core.RestoreLink(target)
 	})
-	if code, msg, ok := failureStatus(submitErr, restoreErr); !ok {
-		if code == http.StatusServiceUnavailable {
-			writeUnavailable(w, msg)
-		} else {
-			writeError(w, code, msg)
-		}
-		return
-	}
-	if err := s.ackBarrier(); err != nil {
-		writeError(w, http.StatusInternalServerError, "durability barrier: "+err.Error())
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
-// failureStatus maps the submit/operation errors of the mutating
-// handlers onto HTTP statuses. ok means no error at all.
-//
-// This is the package's single sentinel→status table: every exported
-// core/cluster sentinel gets its status decided here and nowhere else
-// (hmnlint's sentinelhttp analyzer rejects inline comparisons and
-// sentinels this table misses), so the 404/409 contract of PR 2 cannot
-// drift one handler at a time.
-//
-//hmn:sentineltable
-func failureStatus(submitErr, opErr error) (code int, msg string, ok bool) {
-	switch {
-	case errors.Is(submitErr, errOverloaded), errors.Is(submitErr, errDraining):
-		return http.StatusServiceUnavailable, submitErr.Error(), false
-	case submitErr != nil:
-		return http.StatusServiceUnavailable, "request timed out: " + submitErr.Error(), false
+// rebalance runs one round on the calling goroutine: rounds commit
+// through the optimistic migrate funnel, so they need no queue slot.
+func (d sessionDomain) rebalance(context.Context) (int, float64, float64, error) {
+	if d.s.draining.Load() {
+		return 0, 0, 0, errDraining
 	}
-	switch {
-	case opErr == nil:
-		return 0, "", true
-	case errors.Is(opErr, core.ErrUnknownTarget), errors.Is(opErr, core.ErrNotActive):
-		// Nothing by that name in this session.
-		return http.StatusNotFound, opErr.Error(), false
-	case errors.Is(opErr, core.ErrAlreadyFailed), errors.Is(opErr, core.ErrNotFailed):
-		return http.StatusConflict, opErr.Error(), false
-	case errors.Is(opErr, core.ErrMigrateConflict), errors.Is(opErr, core.ErrNotImproving):
-		// A migrate plan drawn on a stale snapshot: the cluster moved on
-		// (guest relocated, or the plan stopped improving) before the
-		// commit validated. Retry against fresh state.
-		return http.StatusConflict, opErr.Error(), false
-	case errors.Is(opErr, core.ErrNoHostFits), errors.Is(opErr, core.ErrNoPath),
-		errors.Is(opErr, core.ErrEmptyPool):
-		// Mapping infeasible against the current residuals: the request
-		// conflicts with testbed state, not with its own syntax.
-		return http.StatusConflict, opErr.Error(), false
-	case errors.Is(opErr, cluster.ErrOverheadExceedsCapacity):
-		// A session/overhead configuration the cluster can never hold.
-		return http.StatusBadRequest, opErr.Error(), false
-	case errors.Is(opErr, core.ErrReplayDiverged):
-		// Replay sentinels never reach a handler in normal operation
-		// (recovery runs before the listener); a stray one is an internal
-		// invariant breach, not a client error.
-		return http.StatusInternalServerError, opErr.Error(), false
-	case errors.Is(opErr, context.DeadlineExceeded), errors.Is(opErr, context.Canceled):
-		return http.StatusServiceUnavailable, "request timed out", false
-	default:
-		return http.StatusConflict, opErr.Error(), false
-	}
+	before := d.sess.core.ObjectiveStdDev()
+	moved := d.sess.rebal.RunOnce()
+	after := d.sess.core.ObjectiveStdDev()
+	// RunOnce already ran the after-round barrier if it committed
+	// anything; this one covers the moved == 0 path for free and keeps
+	// the ack-after-log shape uniform.
+	return moved, before, after, d.s.durable()
 }
 
 // evictionCounter counts environments evicted by failures, per kind.
@@ -1119,23 +895,4 @@ func (s *Server) mapCounter(outcome, mapper string) *metrics.Counter {
 	return s.reg.Counter(
 		fmt.Sprintf("hmnd_maps_%s_total{mapper=%q}", outcome, mapper),
 		fmt.Sprintf("Environment maps %s, per mapper.", outcome))
-}
-
-// --- response helpers ---
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = spec.WriteJSON(w, v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, ErrorResponse{Error: msg})
-}
-
-// writeUnavailable is the backpressure response: the client should back
-// off and retry, not pile on.
-func writeUnavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, msg)
 }

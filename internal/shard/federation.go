@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -38,8 +37,9 @@ type Federation struct {
 	nextEnv int                //hmn:guardedby mu
 	closed  bool               //hmn:guardedby mu
 
-	snapStop chan struct{}
-	snapDone chan struct{}
+	// stopSnapshots ends the periodic snapshot loop (a no-op without
+	// one). Set by start before the federation is published.
+	stopSnapshots func()
 }
 
 // tenant is one tenant session. closing blocks new admissions while
@@ -58,12 +58,12 @@ type envRec struct {
 	split bool
 }
 
-// frag is one fragment on one shard. m is kept current across
-// migrations (the rebalance hook) and repairs; tag is the durable
-// identity and the fallback lookup key when m went stale anyway.
+// frag is one fragment on one shard. Its tag is its only identity:
+// migrations and repairs swap the mapping that carries it inside the
+// shard's session, never the tag, so every release and repair outcome
+// resolves by tag.
 type frag struct {
 	shard int
-	m     *mapping.Mapping //hmn:guardedby mu
 	tag   string
 	proc  float64
 }
@@ -177,20 +177,9 @@ func (f *Federation) buildShard(k int, c *cluster.Cluster) (*Shard, error) {
 }
 
 // attachRebalance gives the shard its scheduler (stopped; start()
-// launches it only when a cadence is configured).
+// launches its loop, which a zero cadence leaves one-shot).
 func (f *Federation) attachRebalance(sh *Shard) {
-	interval := f.cfg.RebalanceInterval
-	if interval <= 0 {
-		interval = time.Hour // never started; New insists on a positive period
-	}
-	k := sh.Index
-	sh.reb = rebalance.New(sh.sess, interval, f.cfg.RebalanceMaxMoves, rebalance.Hooks{
-		OnCommit: func(_ rebalance.Unit, res *core.MigrateResult, err error) {
-			if err != nil || res == nil {
-				return
-			}
-			f.noteMigrate(k, res)
-		},
+	sh.reb = rebalance.New(sh.sess, f.cfg.RebalanceInterval, f.cfg.RebalanceMaxMoves, rebalance.Hooks{
 		AfterRound: sh.barrier,
 		Logf:       f.cfg.Logf,
 	})
@@ -235,20 +224,24 @@ func (f *Federation) walHooks() wal.Hooks {
 	}
 }
 
-// start launches the workers, the configured rebalancers and the
-// snapshot loop. Called once by New/Recover.
+// start launches the workers, the rebalancer loops and the snapshot
+// cadence. Called once by New/Recover.
 func (f *Federation) start() {
 	for _, sh := range f.shards {
 		go sh.loop()
-		if f.cfg.RebalanceInterval > 0 {
-			sh.reb.Start()
+		sh.reb.Start()
+	}
+	interval := f.cfg.SnapshotInterval
+	if f.cfg.DataDir == "" {
+		interval = 0
+	}
+	f.stopSnapshots = wal.SnapshotEvery(interval, func() {
+		for _, sh := range f.shards {
+			if err := f.snapshotShard(sh); err != nil {
+				f.logf("shard %d: snapshot: %v", sh.Index, err)
+			}
 		}
-	}
-	if f.cfg.DataDir != "" && f.cfg.SnapshotInterval > 0 {
-		f.snapStop = make(chan struct{})
-		f.snapDone = make(chan struct{})
-		go f.snapshotLoop()
-	}
+	})
 }
 
 // abortBuild tears down a partially built federation.
@@ -317,6 +310,13 @@ func parseTag(tag string) (sid, eid string, fragI, fragN int, cut float64, ok bo
 		return "", "", 0, 0, 0, false
 	}
 	return sid, eid, fragI, fragN, cut, true
+}
+
+// EnvID returns the tenant environment ID a fragment tag names ("e3"
+// for both "s1/e3" and "s1/e3#1of2@5"); "" for any other tag.
+func EnvID(tag string) string {
+	_, eid, _, _, _, _ := parseTag(tag)
+	return eid
 }
 
 // OpenTenant opens a tenant session and returns its ID. With a data
@@ -407,7 +407,7 @@ func (f *Federation) AdmitAsync(sid string, v *virtual.Env) (string, <-chan Admi
 			if err == nil {
 				if berr := sh.barrier(); berr != nil {
 					// Committed but not durable: undo, never acknowledge.
-					_ = sh.sess.Release(m)
+					_ = sh.sess.ReleaseTag(tag)
 					m, err = nil, fmt.Errorf("shard %d durability barrier: %w", sh.Index, berr)
 				}
 			}
@@ -433,6 +433,7 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 func (f *Federation) gather(sid, eid string, pl plan, tags []string, results chan fragOutcome, ch chan AdmitResult) {
 	n := len(pl.groups)
 	frags := make([]*frag, n)
+	ms := make([]*mapping.Mapping, n)
 	var firstErr error
 	for i := 0; i < n; i++ {
 		o := <-results
@@ -443,16 +444,16 @@ func (f *Federation) gather(sid, eid string, pl plan, tags []string, results cha
 			continue
 		}
 		g := pl.groups[o.i]
-		frags[o.i] = &frag{shard: g.shard, m: o.m, tag: tags[o.i], proc: g.proc}
+		frags[o.i] = &frag{shard: g.shard, tag: tags[o.i], proc: g.proc}
+		ms[o.i] = o.m
 	}
 
 	if firstErr == nil {
 		f.mu.Lock()
 		if t := f.tenants[sid]; t != nil && !t.closing {
-			rec := &envRec{frags: compactFrags(frags), cutBW: pl.cutBW, split: pl.split}
-			t.envs[eid] = rec
+			t.envs[eid] = &envRec{frags: frags, cutBW: pl.cutBW, split: pl.split}
 			f.mu.Unlock()
-			ch <- AdmitResult{EnvID: eid, Placement: f.placementOf(pl, rec)}
+			ch <- AdmitResult{EnvID: eid, Placement: placementOf(pl, frags, ms)}
 			return
 		}
 		f.mu.Unlock()
@@ -472,29 +473,16 @@ func (f *Federation) gather(sid, eid string, pl plan, tags []string, results cha
 	ch <- AdmitResult{EnvID: eid, Err: firstErr}
 }
 
-// compactFrags drops the nil slots of a partially failed gather (all
-// slots are set on the success path, but keep the invariant local).
-func compactFrags(frags []*frag) []*frag {
-	out := frags[:0]
-	for _, fr := range frags {
-		if fr != nil {
-			out = append(out, fr)
-		}
-	}
-	return out
-}
-
-// placementOf renders the public placement. Caller must not hold f.mu.
-func (f *Federation) placementOf(pl plan, rec *envRec) Placement {
+// placementOf renders the public placement of a committed plan: the
+// fragments with the mappings their admissions committed.
+func placementOf(pl plan, frags []*frag, ms []*mapping.Mapping) Placement {
 	p := Placement{CutBW: pl.cutBW, Fallback: pl.fallback, Split: pl.split}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, fr := range rec.frags {
+	for i, fr := range frags {
 		p.Fragments = append(p.Fragments, Fragment{
 			Shard:  fr.shard,
 			Guests: pl.groups[i].orig,
 			Env:    pl.groups[i].env,
-			M:      fr.m,
+			M:      ms[i],
 			Tag:    fr.tag,
 		})
 	}
@@ -508,10 +496,12 @@ func (f *Federation) submitFragRelease(fr *frag, errs chan<- error) {
 	f.router.releaseSubmitted(fr.shard, fr.proc)
 	sh := f.shards[fr.shard]
 	sh.enqueue(func() {
-		f.mu.Lock()
-		m := f.fragMappingLocked(fr)
-		f.mu.Unlock()
-		err := releaseByTag(sh.sess, m, fr.tag)
+		// A fragment an unrecoverable repair already evicted is gone, not
+		// failed: its resources went back with the eviction.
+		err := sh.sess.ReleaseTag(fr.tag)
+		if errors.Is(err, core.ErrNotActive) {
+			err = nil
+		}
 		if err == nil {
 			err = sh.barrier()
 		}
@@ -520,39 +510,6 @@ func (f *Federation) submitFragRelease(fr *frag, errs chan<- error) {
 			errs <- err
 		}
 	})
-}
-
-// fragMappingLocked reads a fragment's live mapping pointer; the
-// federation lock guards it against concurrent migration updates.
-//
-//hmn:locked mu
-func (f *Federation) fragMappingLocked(fr *frag) *mapping.Mapping { return fr.m }
-
-// releaseByTag releases m, re-resolving the mapping by tag when a
-// concurrent migration swapped the pointer. A mapping that vanished
-// entirely (an unrecoverable repair evicted it) counts as released.
-func releaseByTag(sess *core.Session, m *mapping.Mapping, tag string) error {
-	for {
-		if m == nil {
-			return nil
-		}
-		err := sess.Release(m)
-		if err == nil || !errors.Is(err, core.ErrNotActive) {
-			return err
-		}
-		m = findByTag(sess, tag)
-	}
-}
-
-// findByTag scans the session's active set for the mapping carrying
-// tag; nil when none does.
-func findByTag(sess *core.Session, tag string) *mapping.Mapping {
-	for _, a := range sess.Export().Active {
-		if a.Tag == tag {
-			return a.M
-		}
-	}
-	return nil
 }
 
 // ReleaseAsync tears an environment down: every fragment released on
@@ -666,32 +623,6 @@ func (f *Federation) CloseTenant(sid string) error {
 	return firstErr
 }
 
-// noteMigrate keeps the registry's mapping pointers current across a
-// shard's rebalance commits (tags are stable; pointers are not).
-func (f *Federation) noteMigrate(k int, res *core.MigrateResult) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, e := range res.Envs {
-		sid, eid, _, _, _, ok := parseTag(e.Tag)
-		if !ok {
-			continue
-		}
-		t := f.tenants[sid]
-		if t == nil {
-			continue
-		}
-		rec := t.envs[eid]
-		if rec == nil {
-			continue
-		}
-		for _, fr := range rec.frags {
-			if fr.shard == k && fr.tag == e.Tag {
-				fr.m = e.New
-			}
-		}
-	}
-}
-
 // FailHost fails a host on shard k and repairs the evictions, then
 // reconciles the registry: repaired/replaced fragments keep their
 // identity under the new mapping; an unrecoverable fragment takes its
@@ -781,68 +712,41 @@ func (f *Federation) RebalanceOnce(k int) (moves int, before, after float64, err
 }
 
 // reconcileRepairs applies one shard's repair outcomes to the registry.
+// Repaired and replaced fragments keep their tags, so only an
+// unrecoverable one changes anything: it takes its whole environment
+// down — the sibling fragments released, the gateway refunded.
 func (f *Federation) reconcileRepairs(k int, results []core.RepairResult) {
-	if len(results) == 0 {
-		return
-	}
-	f.mu.Lock()
-	// Locate each repaired mapping's fragment by pointer; iteration is
-	// over sorted IDs so the (rare) diagnostic order is stable.
-	type victim struct {
-		sid, eid string
-		rec      *envRec
-	}
-	var dead []victim
-	for _, sid := range sortedTenantIDsLocked(f.tenants) {
-		t := f.tenants[sid]
-		for _, eid := range sortedEnvIDs(t) {
-			rec := t.envs[eid]
-			for _, fr := range rec.frags {
-				if fr.shard != k {
-					continue
-				}
-				for i := range results {
-					res := &results[i]
-					if res.Old != fr.m && (res.New == nil || res.New != fr.m) {
-						continue
-					}
-					if res.Outcome == core.RepairUnrecoverable {
-						dead = append(dead, victim{sid: sid, eid: eid, rec: rec})
-					} else if fr.m == res.Old {
-						fr.m = res.New
-					}
-					break
-				}
-			}
+	for _, res := range results {
+		if res.Outcome != core.RepairUnrecoverable {
+			continue
 		}
-	}
-	for _, v := range dead {
-		t := f.tenants[v.sid]
-		delete(t.envs, v.eid)
-	}
-	f.mu.Unlock()
-
-	for _, v := range dead {
-		lost := 0
-		for _, fr := range v.rec.frags {
-			if fr.shard == k && fragIsGone(f.shards[k].sess, fr.tag) {
-				// The evicted fragment itself: nothing to release; the
-				// resync after reconciliation re-centers the headroom.
-				lost++
+		sid, eid, _, _, _, ok := parseTag(res.Tag)
+		if !ok {
+			continue
+		}
+		f.mu.Lock()
+		var rec *envRec
+		if t := f.tenants[sid]; t != nil {
+			rec = t.envs[eid]
+			delete(t.envs, eid)
+		}
+		f.mu.Unlock()
+		if rec == nil {
+			continue // released while the failure ran
+		}
+		for _, fr := range rec.frags {
+			if fr.tag == res.Tag {
+				// The evicted fragment itself: nothing to release; the resync
+				// after reconciliation re-centers the headroom.
+				f.router.adjustEnvs(k, -1)
 				continue
 			}
 			f.submitFragRelease(fr, nil)
 		}
-		f.router.adjustEnvs(k, -lost)
-		if v.rec.cutBW > 0 && f.gw != nil {
-			f.gw.Release(v.rec.cutBW)
+		if rec.cutBW > 0 && f.gw != nil {
+			f.gw.Release(rec.cutBW)
 		}
 	}
-}
-
-// fragIsGone reports that no active mapping carries tag anymore.
-func fragIsGone(sess *core.Session, tag string) bool {
-	return findByTag(sess, tag) == nil
 }
 
 // sortedTenantIDsLocked lists the tenant IDs sorted; caller holds f.mu.
@@ -905,10 +809,7 @@ func (f *Federation) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	if f.snapStop != nil {
-		close(f.snapStop)
-		<-f.snapDone
-	}
+	f.stopSnapshots()
 	var firstErr error
 	for _, sh := range f.shards {
 		sh.stop()

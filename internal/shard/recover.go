@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -15,7 +14,7 @@ import (
 
 // This file is the federation's durability layer beyond the per-shard
 // WALs themselves: the tenant registry's meta file, the per-shard
-// snapshot cadence, and Recover — the crash-restart path that rebuilds
+// snapshots, and Recover — the crash-restart path that rebuilds
 // every shard from its own snapshot-plus-log-suffix and the registry
 // from the fragment tags the shards' active sets carry.
 
@@ -141,29 +140,6 @@ func (f *Federation) snapshotShard(sh *Shard) error {
 	})
 }
 
-// snapshotLoop snapshots every shard on the configured cadence until
-// Close stops it.
-func (f *Federation) snapshotLoop() {
-	defer close(f.snapDone)
-	ticker := time.NewTicker(f.cfg.SnapshotInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			for _, sh := range f.shards {
-				if sh.w == nil {
-					continue
-				}
-				if err := f.snapshotShard(sh); err != nil {
-					f.logf("shard %d: snapshot: %v", sh.Index, err)
-				}
-			}
-		case <-f.snapStop:
-			return
-		}
-	}
-}
-
 // pendingEnv accumulates one environment's fragments during recovery
 // until the set is known complete or orphaned.
 type pendingEnv struct {
@@ -230,7 +206,6 @@ func Recover(cfg Config) (*Federation, error) {
 				return nil, err
 			}
 		}
-		sh.w.Attach(shardSID(k), f.cfg.Overhead, sh.sess)
 		sums[k] = sh.sess.ResidualSummary()
 	}
 	f.mu.Lock()
@@ -248,9 +223,11 @@ func Recover(cfg Config) (*Federation, error) {
 // recovery function (wal.Rebuild), then refuses any state a shard
 // directory cannot legitimately hold: a snapshot that is not exactly
 // the shard's one session, a record naming another session, a close
-// record (shards never close), or no session state at all. envHigh is
-// the highest environment ordinal the shard's state names, for the
-// global ID counter.
+// record (shards never close), or no session state at all. The rebuilt
+// session gets its WAL hook here, so everything it commits from now on
+// — the registry rebuild's orphan releases included — is logged like
+// any other operation. envHigh is the highest environment ordinal the
+// shard's state names, for the global ID counter.
 func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 	sid := shardSID(k)
 	w, recovered, err := wal.Open(filepath.Join(f.cfg.DataDir, sid), f.walHooks())
@@ -306,6 +283,7 @@ func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 		done:        make(chan struct{}),
 	}
 	sh.sess.SetRouteWorkers(f.cfg.RouteWorkers)
+	w.Attach(sid, f.cfg.Overhead, sh.sess)
 	f.attachRebalance(sh)
 	return sh, envHigh, nil
 }
@@ -341,7 +319,7 @@ func (f *Federation) rebuildRegistry() error {
 			if p.fragN != fragN || p.frags[fragI] != nil {
 				return fmt.Errorf("shard: environment %s/%s has conflicting fragment sets", sid, eid)
 			}
-			p.frags[fragI] = &frag{shard: k, m: a.M, tag: a.Tag, proc: a.M.Env.TotalProc()}
+			p.frags[fragI] = &frag{shard: k, tag: a.Tag, proc: a.M.Env.TotalProc()}
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -364,15 +342,13 @@ func (f *Federation) rebuildRegistry() error {
 		if len(p.frags) < p.fragN {
 			// The crash interrupted a split admission mid-commit: the
 			// router never acknowledged it, so the committed fragments are
-			// orphans. Release them through their sessions (the attached-
-			// later WAL hook is not needed — release here is pre-serving,
-			// logged explicitly below via the shard barrier path).
+			// orphans. Release them through their sessions; the WAL hook
+			// logs each release, and the barrier below makes them durable.
 			f.logf("shard: releasing %d orphan fragments of %s/%s (split never completed)", len(p.frags), key.sid, key.eid)
 			for _, i := range sortedFragOrdinals(p.frags) {
 				fr := p.frags[i]
 				sh := f.shards[fr.shard]
-				f.appendReleaseFor(sh, fr)
-				if err := sh.sess.Release(fr.m); err != nil {
+				if err := sh.sess.ReleaseTag(fr.tag); err != nil {
 					return fmt.Errorf("shard: release orphan fragment %s: %w", fr.tag, err)
 				}
 				touched[fr.shard] = true
@@ -402,23 +378,6 @@ func (f *Federation) rebuildRegistry() error {
 		}
 	}
 	return nil
-}
-
-// appendReleaseFor logs an orphan fragment's release. The commit hook
-// is not attached yet during registry rebuild, so the record is
-// appended by hand — exactly what the hook would have written.
-func (f *Federation) appendReleaseFor(sh *Shard, fr *frag) {
-	var seq uint64
-	for _, a := range sh.sess.Export().Active {
-		if a.Tag == fr.tag {
-			seq = a.Seq
-			break
-		}
-	}
-	rec := &wal.Record{Kind: wal.KindRelease, SID: shardSID(sh.Index), Release: &wal.ReleaseRec{Seq: seq}}
-	if err := sh.w.Append(rec); err != nil {
-		f.logf("shard %d: wal append (orphan release %s): %v", sh.Index, fr.tag, err)
-	}
 }
 
 // sortedFragOrdinals lists a fragment map's keys ascending.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 )
 
@@ -152,6 +153,37 @@ func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 		w.hooks.OnSnapshot(time.Since(start).Seconds()) //hmn:wallclock
 	}
 	return nil
+}
+
+// SnapshotEvery calls snap on a fixed cadence from one background
+// goroutine until the returned stop is called; stop waits out a call in
+// flight and is idempotent. interval <= 0 starts nothing (snapshots
+// then happen only when the caller takes them, e.g. at shutdown). This
+// is the one periodic-snapshot loop: hmnd and every federation shard
+// run their cadence through it.
+func SnapshotEvery(interval time.Duration, snap func()) (stop func()) {
+	if interval <= 0 {
+		return func() {}
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				snap()
+			case <-quit:
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-done
+	}
 }
 
 // Close seals the log. The WAL must not be used afterwards.
